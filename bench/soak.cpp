@@ -21,14 +21,20 @@
 //                    and stream as slo_alert events into --trace-jsonl.
 // Every sim-time series in soak_metrics.json is bit-identical with all
 // three switches on or off — observation is read-only.
+//
+// Invalid flags (a malformed value, or --slo without --obs-windows) print
+// the message to stderr and exit 2, matching the tools' 0/1/2 convention.
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 
 #include "bench_common.hpp"
 #include "exp/soak.hpp"
 #include "util/thread_pool.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace mobi;
   const util::Flags flags(argc, argv);
 
@@ -109,4 +115,15 @@ int main(int argc, char** argv) {
               << "flamegraph.pl)\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::invalid_argument& error) {
+    std::cerr << "soak: " << error.what() << '\n';
+    return 2;
+  }
 }

@@ -26,14 +26,19 @@ void validate_items(std::span<const KnapsackItem> items) {
 /// parallel branch-and-bound: profit density descending, then size
 /// ascending, then index ascending. The comparator must stay identical in
 /// all places — the shortcut's optimality argument assumes the greedy's
-/// exact order.
-void density_order(std::span<const KnapsackItem> items,
-                   std::vector<std::size_t>& order) {
+/// exact order. Each density is computed once, as the sort key.
+void density_order(std::span<const KnapsackItem> items, KnapsackWorkspace& ws) {
+  std::vector<std::size_t>& order = ws.order_;
+  std::vector<double>& density = ws.density_;
   order.resize(items.size());
+  density.resize(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    density[i] = items[i].profit / double(items[i].size);
+  }
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const double da = items[a].profit / double(items[a].size);
-    const double db = items[b].profit / double(items[b].size);
+    const double da = density[a];
+    const double db = density[b];
     if (da != db) return da > db;
     if (items[a].size != items[b].size) return items[a].size < items[b].size;
     return a < b;
@@ -41,11 +46,13 @@ void density_order(std::span<const KnapsackItem> items,
 }
 
 /// Shortcut 1: when every positive-profit item fits within the capacity
-/// together, the optimum is forced — any optimal set contains all of them
-/// (dropping one loses its profit) and nothing else (the strict-improvement
-/// DP never takes zero-profit items). The DP reconstructs exactly this set
-/// and accumulates its value item-by-item in ascending index order, so the
-/// ascending fold below reproduces the DP's double bit-for-bit.
+/// together, the optimum is forced. Every DP node the reconstruction visits
+/// has room for all positive items below it, so its value is F(i - 1), the
+/// rounded ascending sum of those items, and item i is taken exactly when
+/// F(i - 1) + p_i rounds strictly above F(i - 1) — always, unless p_i is
+/// absorbed by rounding (then the strict-improvement DP leaves it out, as
+/// it leaves out zero-profit items). The ascending fold below makes the
+/// same test, so value, used and chosen match the DP bit-for-bit.
 bool take_all_shortcut(std::span<const KnapsackItem> items,
                        object::Units capacity, KnapsackSolution& out) {
   object::Units need = 0;
@@ -57,34 +64,41 @@ bool take_all_shortcut(std::span<const KnapsackItem> items,
   }
   out.reset();
   for (std::size_t i = 0; i < items.size(); ++i) {
-    if (items[i].profit > 0.0) {
+    const double value = out.value + items[i].profit;
+    if (value > out.value) {
       out.chosen.push_back(i);
-      out.value += items[i].profit;
       out.used += items[i].size;
     }
+    out.value = value;
   }
   return true;
 }
 
 /// Shortcut 2: when the density-greedy prefix fills the capacity *exactly*
-/// — no skipped item, no leftover — and there is a strict density gap to
-/// the first positive-profit item left out, the greedy value equals the
-/// fractional (LP) upper bound and the integral optimum is unique: every
-/// item outside the prefix has strictly lower density, so any other
-/// feasible set is strictly worse. The DP must therefore reconstruct this
-/// same set; value is folded in ascending index order to match its double.
+/// — no skipped item, no leftover — and there is a density gap to the
+/// first positive-profit item left out, the greedy value equals the
+/// fractional (LP) upper bound and the integral optimum is unique: any
+/// other feasible set swaps at least one whole unit of prefix for lower-
+/// density items (or drops it), so it is worse by at least the gap. The
+/// DP compares rounded sums, so the gap must also clear their rounding
+/// error — at most (n + 2) * 2^-53 of the prefix value each — and that of
+/// the two densities; then every other set's rounded sum is strictly
+/// smaller too, and the DP must reconstruct this same set. Value is folded
+/// in ascending index order to match the DP's double.
 bool greedy_prefix_shortcut(std::span<const KnapsackItem> items,
-                            object::Units capacity,
-                            std::vector<std::size_t>& order,
+                            object::Units capacity, KnapsackWorkspace& ws,
                             KnapsackSolution& out) {
-  density_order(items, order);
+  density_order(items, ws);
+  const std::vector<std::size_t>& order = WorkspaceAccess::order(ws);
   object::Units left = capacity;
+  double prefix_value = 0.0;  // density order; only sizes the gap check
   std::size_t k = 0;
   for (; k < order.size(); ++k) {
     const KnapsackItem& item = items[order[k]];
     if (item.profit <= 0.0) return false;  // positives ran out before fill
     if (item.size > left) break;           // a skip: prefix ends short
     left -= item.size;
+    prefix_value += item.profit;
     if (left == 0) {
       ++k;
       break;
@@ -101,7 +115,11 @@ bool greedy_prefix_shortcut(std::span<const KnapsackItem> items,
     if (next.profit > 0.0) {
       const double dl = last.profit / double(last.size);
       const double dn = next.profit / double(next.size);
-      if (!(dl > dn)) return false;  // tie across the cut: not provably unique
+      const double rounding =
+          4.0 * double(order.size() + 2) * 0x1p-53 * prefix_value +
+          0x1p-51 * dl;
+      // A (near-)tie across the cut: not provably unique.
+      if (!(dl - dn > rounding)) return false;
     }
   }
   out.reset();
@@ -112,6 +130,98 @@ bool greedy_prefix_shortcut(std::span<const KnapsackItem> items,
     out.used += items[index].size;
   }
   return true;
+}
+
+/// Bound reduction: drop the items that provably cannot change the DP's
+/// answer, so the O(n * capacity) table is filled for the survivors only.
+///
+/// Write V(i, c) for the DP value over items 0..i at capacity c and fl-sum
+/// for a subset's profits added in ascending index order with rounding.
+/// Because rounding is monotone, V(i, c) is the maximum fl-sum over the
+/// feasible subsets of 0..i; the final value V* is the largest fl-sum of
+/// any feasible subset.
+///  * A zero-profit row never sets a bit (prev[c - s] + 0 > prev[c] is
+///    false, the value curve being non-decreasing in c) and leaves the
+///    curve unchanged, so deleting it changes no other row.
+///  * An item larger than the capacity never fits; its row is empty.
+///  * For the rest: the reconstruction only visits nodes (i, c) whose best
+///    subset, completed by the items already chosen above i, reaches V*.
+///    If no item of a subset reaching V* is dropped, every value the
+///    reconstruction compares is the same with or without the dropped
+///    rows, so it takes the same bits — same chosen, used and value.
+///    Item j can be in no such subset when p_j + LP(C - s_j) < LB: LP is
+///    the Dantzig (fractional) bound over all items, an upper bound on
+///    what the others add in the remaining room, and LB, the greedy-with-
+///    skips value, is the fl-sum of a feasible subset, so LB <= V*.
+/// The margin absorbs rounding. Each quantity the test relies on (LB, the
+/// bound, and the rounded sums of the subsets they stand for) adds at most
+/// n + 4 rounded non-negative terms, so it is off by at most
+/// (n + 4) * 2^-53 times the total profit. The test combines five such
+/// errors; 8x covers them and the rounding of the margin itself. It scales
+/// with the data: a rounding bound, not a tuned constant.
+std::span<const std::size_t> reduce_items(std::span<const KnapsackItem> items,
+                                          object::Units capacity,
+                                          KnapsackWorkspace& ws) {
+  const std::size_t n = items.size();
+  const std::vector<std::size_t>& order = ws.order_;
+  // Density-order prefix sums up to the break item (the first that no
+  // longer fits): LP(c) for c <= capacity never reads further.
+  std::vector<double>& profit_sum = ws.prefix_profit_;
+  std::vector<object::Units>& size_sum = ws.prefix_size_;
+  profit_sum.resize(n + 1);
+  size_sum.resize(n + 1);
+  profit_sum[0] = 0.0;
+  size_sum[0] = 0;
+  std::size_t brk = 0;
+  object::Units max_size = 0;  // largest item that fits
+  for (; brk < n; ++brk) {
+    const KnapsackItem& item = items[order[brk]];
+    if (item.size > capacity - size_sum[brk]) break;
+    profit_sum[brk + 1] = profit_sum[brk] + item.profit;
+    size_sum[brk + 1] = size_sum[brk] + item.size;
+    max_size = std::max(max_size, item.size);
+  }
+  double lower = profit_sum[brk];
+  double total = profit_sum[brk];
+  object::Units left = capacity - size_sum[brk];
+  for (std::size_t k = brk; k < n; ++k) {
+    const KnapsackItem& item = items[order[k]];
+    total += item.profit;
+    if (item.size <= capacity) max_size = std::max(max_size, item.size);
+    if (item.profit > 0.0 && item.size <= left) {
+      lower += item.profit;
+      left -= item.size;
+    }
+  }
+  const double cutoff = lower - 8.0 * double(n + 4) * 0x1p-53 * total;
+
+  // Dantzig bound LP(capacity - s) for every item size s: whole items
+  // while they fit, then a fraction of the next. The room only shrinks as
+  // s grows, so one backward walk over the prefix serves every size.
+  std::vector<double>& lp = ws.lp_by_size_;
+  lp.resize(std::size_t(max_size) + 1);
+  std::size_t k = brk;
+  for (object::Units size = 1; size <= max_size; ++size) {
+    const object::Units room = capacity - size;
+    while (size_sum[k] > room) --k;
+    double bound = profit_sum[k];
+    if (k < n) {
+      const KnapsackItem& next = items[order[k]];
+      bound += next.profit * double(room - size_sum[k]) / double(next.size);
+    }
+    lp[std::size_t(size)] = bound;
+  }
+
+  ws.kept_.clear();
+  ws.kept_items_.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    const KnapsackItem& item = items[i];
+    if (item.profit <= 0.0 || item.size > capacity) continue;
+    if (item.profit + lp[std::size_t(item.size)] < cutoff) continue;
+    ws.kept_.push_back(i);
+    ws.kept_items_.push_back(item);
+  }
+  return ws.kept_;
 }
 
 // ---------------------------------------------------------------------------
@@ -387,10 +497,14 @@ void solve_dp(std::span<const KnapsackItem> items, object::Units capacity,
     throw std::invalid_argument("KnapsackProfile: negative capacity");
   }
   if (detail::take_all_shortcut(items, capacity, out)) return;
-  if (detail::greedy_prefix_shortcut(items, capacity, ws.order_, out)) return;
-  const KnapsackProfile profile(items, capacity, &ws,
+  if (detail::greedy_prefix_shortcut(items, capacity, ws, out)) return;
+  // The shortcut left the density order in the workspace.
+  const std::span<const std::size_t> kept =
+      detail::reduce_items(items, capacity, ws);
+  const KnapsackProfile profile(ws.kept_items_, capacity, &ws,
                                 KnapsackProfile::AlreadyValidated{});
   profile.solution_into(capacity, out);
+  for (std::size_t& index : out.chosen) index = kept[index];
 }
 
 KnapsackSolution solve_greedy(std::span<const KnapsackItem> items,
@@ -407,7 +521,7 @@ void solve_greedy(std::span<const KnapsackItem> items, object::Units capacity,
   if (capacity < 0) {
     throw std::invalid_argument("solve_greedy: negative capacity");
   }
-  detail::density_order(items, ws.order_);
+  detail::density_order(items, ws);
   out.reset();
   object::Units left = capacity;
   for (std::size_t index : ws.order_) {

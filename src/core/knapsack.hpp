@@ -44,9 +44,13 @@ struct KnapsackSolution {
 };
 
 class KnapsackProfile;
+class KnapsackWorkspace;
 
 namespace detail {
 struct WorkspaceAccess;
+void density_order(std::span<const KnapsackItem>, KnapsackWorkspace&);
+std::span<const std::size_t> reduce_items(std::span<const KnapsackItem>,
+                                          object::Units, KnapsackWorkspace&);
 }  // namespace detail
 
 /// Reusable scratch for the solvers and for KnapsackProfile. Buffers only
@@ -62,6 +66,10 @@ class KnapsackWorkspace {
  private:
   friend class KnapsackProfile;
   friend struct detail::WorkspaceAccess;
+  friend void detail::density_order(std::span<const KnapsackItem>,
+                                    KnapsackWorkspace&);
+  friend std::span<const std::size_t> detail::reduce_items(
+      std::span<const KnapsackItem>, object::Units, KnapsackWorkspace&);
   friend void solve_dp(std::span<const KnapsackItem>, object::Units,
                        KnapsackWorkspace&, KnapsackSolution&);
   friend void solve_greedy(std::span<const KnapsackItem>, object::Units,
@@ -74,8 +82,14 @@ class KnapsackWorkspace {
   std::vector<std::uint64_t> take_bits_;  // profile / FPTAS decision bits
   std::vector<object::Units> item_sizes_;
   std::vector<std::size_t> order_;      // density order (greedy, shortcuts)
+  std::vector<double> density_;         // density order's sort keys
   std::vector<std::uint64_t> scaled_;   // FPTAS scaled profits
   std::vector<object::Units> min_weight_;  // FPTAS weight-per-profit row
+  std::vector<double> prefix_profit_;   // reduction: density-order sums
+  std::vector<object::Units> prefix_size_;
+  std::vector<double> lp_by_size_;      // reduction: LP bound by item size
+  std::vector<std::size_t> kept_;       // reduction: surviving indices
+  std::vector<KnapsackItem> kept_items_;  // reduction: surviving items
 };
 
 /// Internal building blocks shared by the serial solvers, the parallel
@@ -90,9 +104,10 @@ void validate_items(std::span<const KnapsackItem> items);
 /// Density order shared by the greedy solver, the DP shortcuts and the
 /// parallel branch-and-bound: profit density descending, then size
 /// ascending, then index ascending. The comparator must stay identical in
-/// all places — the shortcut's optimality argument assumes it.
-void density_order(std::span<const KnapsackItem> items,
-                   std::vector<std::size_t>& order);
+/// all places — the shortcut's optimality argument assumes it. Writes
+/// the order into the workspace (WorkspaceAccess::order); each density is
+/// computed once, as the sort key.
+void density_order(std::span<const KnapsackItem> items, KnapsackWorkspace& ws);
 
 /// Exactness shortcut 1: all positive-profit items fit together. Returns
 /// true and writes the (forced) DP-canonical optimum into `out`.
@@ -100,11 +115,25 @@ bool take_all_shortcut(std::span<const KnapsackItem> items,
                        object::Units capacity, KnapsackSolution& out);
 
 /// Exactness shortcut 2: the density-greedy prefix fills the capacity
-/// exactly with a strict density gap to the first item left out.
+/// exactly, with a density gap wider than rounding error to the first
+/// item left out. Leaves density_order(items) in `ws` either way.
 bool greedy_prefix_shortcut(std::span<const KnapsackItem> items,
-                            object::Units capacity,
-                            std::vector<std::size_t>& order,
+                            object::Units capacity, KnapsackWorkspace& ws,
                             KnapsackSolution& out);
+
+/// Bound reduction, run by the solve_dp workspace overload before the DP:
+/// returns, ascending, the indices of the items that can lie in the DP's
+/// optimum. Dropped are zero-profit items, items larger than the
+/// capacity, and items j whose Dantzig bound p_j + LP(capacity - s_j)
+/// falls below the greedy-with-skips value by more than a floating-point
+/// rounding margin. `ws` must hold density_order(items). Running the DP
+/// on the kept items alone yields the same value, used and (mapped back)
+/// chosen set, bit for bit. The span aliases workspace scratch, valid
+/// until the next solve borrows the workspace. Grow-only: allocation-free
+/// once the workspace is warm.
+std::span<const std::size_t> reduce_items(std::span<const KnapsackItem> items,
+                                          object::Units capacity,
+                                          KnapsackWorkspace& ws);
 
 /// Inner DP kernel used to fill the profile's value curve + decision
 /// bit-matrix. All kernels are bit-identical (locked by the differential
@@ -226,9 +255,10 @@ class KnapsackProfile {
 /// excludes that item. (The strict-improvement bit test walks indices
 /// from the top and takes an item only when doing so is strictly
 /// better, which greedily clears the highest differing bit.) Zero-profit
-/// items are never taken. Every solver that promises solve_dp-identical
-/// selections — the parallel engine in knapsack_parallel.hpp — targets
-/// exactly this subset.
+/// items are never taken. The workspace overload's shortcuts and bound
+/// reduction preserve this subset exactly. Every solver that promises
+/// solve_dp-identical selections — the parallel engine in
+/// knapsack_parallel.hpp — targets exactly this subset.
 KnapsackSolution solve_dp(std::span<const KnapsackItem> items,
                           object::Units capacity);
 
@@ -237,9 +267,11 @@ KnapsackSolution solve_dp(std::span<const KnapsackItem> items,
 /// here; two cheap exactness shortcuts (docs/performance.md) skip the
 /// O(n * capacity) DP when the optimal set is provably forced:
 ///  * every positive-profit item fits within the capacity, or
-///  * the density-greedy prefix fills the capacity exactly with a strict
-///    density gap to the first item left out (the greedy value then meets
-///    the fractional upper bound, and the optimum is unique).
+///  * the density-greedy prefix fills the capacity exactly with a density
+///    gap, wider than rounding error, to the first item left out (the
+///    greedy value then meets the fractional upper bound, and the optimum
+///    is unique).
+/// Otherwise the DP runs only on the items detail::reduce_items keeps.
 void solve_dp(std::span<const KnapsackItem> items, object::Units capacity,
               KnapsackWorkspace& ws, KnapsackSolution& out);
 

@@ -513,9 +513,7 @@ struct ParallelKnapsackEngine::Impl {
     }
     ++stats.solves;
     if (detail::take_all_shortcut(item_span, cap, out) ||
-        detail::greedy_prefix_shortcut(item_span, cap,
-                                       detail::WorkspaceAccess::order(ws),
-                                       out)) {
+        detail::greedy_prefix_shortcut(item_span, cap, ws, out)) {
       ++stats.shortcut_solves;
       export_metrics();
       return;
@@ -612,8 +610,7 @@ void solve_dp_word_parallel(std::span<const KnapsackItem> items,
     throw std::invalid_argument("solve_dp_word_parallel: negative capacity");
   }
   if (detail::take_all_shortcut(items, capacity, out)) return;
-  if (detail::greedy_prefix_shortcut(items, capacity,
-                                     detail::WorkspaceAccess::order(ws), out)) {
+  if (detail::greedy_prefix_shortcut(items, capacity, ws, out)) {
     return;
   }
   const std::size_t n = items.size();

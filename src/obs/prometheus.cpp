@@ -5,14 +5,15 @@
 namespace mobi::obs {
 
 std::string prometheus_name(const std::string& name) {
-  std::string out;
-  out.reserve(name.size());
+  // A name must not be empty or start with a digit: prefix '_' up front.
+  const bool prefix = name.empty() || (name[0] >= '0' && name[0] <= '9');
+  std::string out(prefix ? 1 : 0, '_');
+  out.reserve(out.size() + name.size());
   for (const char c : name) {
     const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                     (c >= '0' && c <= '9') || c == '_' || c == ':';
     out += ok ? c : '_';
   }
-  if (out.empty() || (out[0] >= '0' && out[0] <= '9')) out.insert(0, "_");
   return out;
 }
 

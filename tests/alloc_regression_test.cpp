@@ -21,6 +21,7 @@
 #include "cache/decay.hpp"
 #include "coop/cooperative.hpp"
 #include "core/base_station.hpp"
+#include "core/knapsack.hpp"
 #include "exp/mobility_fleet.hpp"
 #include "exp/multi_cell.hpp"
 #include "net/fault_injector.hpp"
@@ -484,6 +485,43 @@ TEST(AllocRegression, WindowedProfiledSloSteadyStateIsAllocationFree) {
   EXPECT_GT(monitor.alerts(), 0u);
   EXPECT_GT(profiler.root_total_wall_ns(), 0u);
   EXPECT_EQ(registry.scalar_value("slo.alerts"), double(monitor.alerts()));
+}
+
+// The exact solve's bound reduction fills grow-only prefix-sum and kept-
+// item scratch: once a workspace has seen the largest instance, reduced
+// solves of any of them allocate nothing.
+TEST(AllocRegression, WarmReducedKnapsackSolveIsAllocationFree) {
+  util::Rng rng(12);
+  std::vector<std::vector<core::KnapsackItem>> instances;
+  for (std::size_t n : {200, 600, 60, 400}) {
+    std::vector<core::KnapsackItem> items(n);
+    for (auto& item : items) {
+      // Even sizes against an odd budget: no exact greedy fill.
+      item.size = 2 * object::Units(rng.uniform_int(1, 8));
+      item.profit = rng.bernoulli(0.45) ? 0.0 : rng.uniform() * 3.0;
+    }
+    instances.push_back(std::move(items));
+  }
+  constexpr object::Units kBudget = 301;
+  core::KnapsackWorkspace ws;
+  core::KnapsackSolution out;
+  for (const auto& items : instances) {
+    // The instances must take the DP path with rows actually dropped.
+    ASSERT_FALSE(core::detail::take_all_shortcut(items, kBudget, out));
+    ASSERT_FALSE(core::detail::greedy_prefix_shortcut(items, kBudget, ws, out));
+    ASSERT_LT(core::detail::reduce_items(items, kBudget, ws).size(),
+              items.size());
+    core::solve_dp(items, kBudget, ws, out);  // warm-up
+  }
+  const std::uint64_t before = g_allocations.load();
+  for (int pass = 0; pass < 3; ++pass) {
+    for (const auto& items : instances) {
+      core::solve_dp(items, kBudget, ws, out);
+    }
+  }
+  const std::uint64_t after = g_allocations.load();
+  EXPECT_EQ(after - before, 0u)
+      << (after - before) << " steady-state heap allocations";
 }
 
 }  // namespace

@@ -6,8 +6,18 @@
 // Profits are multiples of 0.5 well below 2^53, so every partial sum is
 // exactly representable and the comparisons are deliberately exact (==):
 // the solvers must agree to the bit, whatever order they add profits in.
+//
+// The bound reduction in the workspace solve_dp (detail::reduce_items) is
+// fuzzed against the unreduced KnapsackProfile on generated instance
+// families, including real-valued profits whose rounded sums tie or
+// differ by one ulp, and unit-tested directly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "core/knapsack.hpp"
@@ -196,6 +206,265 @@ TEST(KnapsackDiff, WideCapacityCrossesWordBoundaries) {
     EXPECT_EQ(solve_branch_and_bound(items, c).value, value);
     EXPECT_EQ(solve_brute_force(items, c).value, value);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Bound reduction
+// ---------------------------------------------------------------------------
+
+std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// The items reduce_items keeps at `capacity`, found as solve_dp finds them.
+std::vector<std::size_t> kept_at(const std::vector<KnapsackItem>& items,
+                                 object::Units capacity,
+                                 KnapsackWorkspace& ws) {
+  detail::density_order(items, ws);
+  const auto kept = detail::reduce_items(items, capacity, ws);
+  return {kept.begin(), kept.end()};
+}
+
+using Generator = std::function<std::vector<KnapsackItem>(util::Rng&)>;
+
+struct Family {
+  std::string name;
+  Generator generate;
+  object::Units max_capacity;
+  int instances;
+};
+
+// Pisinger's classic classes, scaled down: sizes uniform in [1, R].
+constexpr object::Units kRange = 40;
+
+std::vector<KnapsackItem> pisinger(util::Rng& rng, std::size_t n,
+                                   const std::function<double(object::Units)>&
+                                       profit_of) {
+  std::vector<KnapsackItem> items(n);
+  for (auto& item : items) {
+    item.size = object::Units(rng.uniform_int(1, kRange));
+    item.profit = profit_of(item.size);
+  }
+  return items;
+}
+
+std::vector<Family> families() {
+  std::vector<Family> out;
+  // >= 40% zero-profit items; real-valued profits like the station's
+  // sums of (1 - score), so rounded sums rarely equal exact ones.
+  out.push_back({"zero_heavy",
+                 [](util::Rng& rng) {
+                   std::vector<KnapsackItem> items(40);
+                   for (auto& item : items) {
+                     item.size = object::Units(rng.uniform_int(1, 12));
+                     item.profit =
+                         rng.bernoulli(0.5) ? 0.0 : rng.uniform() * 3.0;
+                   }
+                   return items;
+                 },
+                 120, 6});
+  // Many items larger than the whole sweep's top capacity.
+  out.push_back({"oversize",
+                 [](util::Rng& rng) {
+                   std::vector<KnapsackItem> items(30);
+                   for (auto& item : items) {
+                     const bool big = rng.bernoulli(0.4);
+                     item.size = object::Units(big ? rng.uniform_int(61, 120)
+                                                   : rng.uniform_int(1, 15));
+                     item.profit = rng.uniform() * (big ? 40.0 : 5.0);
+                   }
+                   return items;
+                 },
+                 60, 6});
+  // Small integral profits and sizes: exact value and density ties.
+  out.push_back({"integral_ties",
+                 [](util::Rng& rng) {
+                   std::vector<KnapsackItem> items(40);
+                   for (auto& item : items) {
+                     item.size = object::Units(rng.uniform_int(1, 5));
+                     item.profit = double(rng.uniform_int(0, 5));
+                   }
+                   return items;
+                 },
+                 80, 6});
+  // Runs of equal density (3, 2 and 1 per unit); sweeping every capacity
+  // moves the break item through the middle of each run.
+  out.push_back({"equal_density_runs",
+                 [](util::Rng& rng) {
+                   std::vector<KnapsackItem> items(36);
+                   for (auto& item : items) {
+                     item.size = object::Units(rng.uniform_int(1, 6));
+                     item.profit =
+                         double(rng.uniform_int(1, 3)) * double(item.size);
+                   }
+                   return items;
+                 },
+                 100, 6});
+  // Multiples of 0.1: subsets with equal exact sums round differently.
+  out.push_back({"decimal_ties",
+                 [](util::Rng& rng) {
+                   std::vector<KnapsackItem> items(36);
+                   for (auto& item : items) {
+                     item.size = object::Units(rng.uniform_int(1, 8));
+                     item.profit = 0.1 * double(rng.uniform_int(0, 20));
+                   }
+                   return items;
+                 },
+                 90, 6});
+  // Profits so small next to the others that adding them rounds to no
+  // change: the strict-improvement DP leaves such items out.
+  out.push_back({"absorbed_profits",
+                 [](util::Rng& rng) {
+                   std::vector<KnapsackItem> items(30);
+                   for (auto& item : items) {
+                     item.size = object::Units(rng.uniform_int(1, 10));
+                     item.profit =
+                         rng.bernoulli(0.5)
+                             ? double(rng.uniform_int(0, 3))
+                             : 1e-16 * double(rng.uniform_int(1, 3));
+                   }
+                   return items;
+                 },
+                 120, 6});
+  out.push_back({"uncorrelated",
+                 [](util::Rng& rng) {
+                   return pisinger(rng, 30, [&](object::Units) {
+                     return double(rng.uniform_int(1, kRange));
+                   });
+                 },
+                 200, 4});
+  out.push_back({"weakly_correlated",
+                 [](util::Rng& rng) {
+                   return pisinger(rng, 30, [&](object::Units w) {
+                     return double(rng.uniform_int(
+                         std::max<object::Units>(1, w - kRange / 10),
+                         w + kRange / 10));
+                   });
+                 },
+                 200, 4});
+  out.push_back({"strongly_correlated",
+                 [](util::Rng& rng) {
+                   return pisinger(rng, 30, [](object::Units w) {
+                     return double(w + kRange / 10);
+                   });
+                 },
+                 200, 4});
+  out.push_back({"subset_sum",
+                 [](util::Rng& rng) {
+                   return pisinger(rng, 30,
+                                   [](object::Units w) { return double(w); });
+                 },
+                 200, 4});
+  return out;
+}
+
+// At every capacity of every instance, the reduced workspace solve must
+// return the unreduced profile's answer: the same value bits, units used
+// and chosen indices. Each family must also actually drop rows somewhere,
+// or it would not be testing the reduction.
+TEST(KnapsackReductionDiff, MatchesUnreducedProfileOnEveryFamily) {
+  util::Rng rng(20261017);
+  KnapsackWorkspace ws;
+  KnapsackWorkspace probe;
+  KnapsackSolution reused;
+  for (const Family& family : families()) {
+    std::size_t dropped = 0;
+    for (int instance = 0; instance < family.instances; ++instance) {
+      const auto items = family.generate(rng);
+      for (object::Units c = 0; c <= family.max_capacity; ++c) {
+        const KnapsackSolution expected =
+            KnapsackProfile(items, c).solution_at(c);
+        solve_dp(items, c, ws, reused);
+        ASSERT_EQ(bits_of(reused.value), bits_of(expected.value))
+            << family.name << " #" << instance << " cap " << c;
+        ASSERT_EQ(reused.used, expected.used)
+            << family.name << " #" << instance << " cap " << c;
+        ASSERT_EQ(reused.chosen, expected.chosen)
+            << family.name << " #" << instance << " cap " << c;
+        dropped += items.size() - kept_at(items, c, probe).size();
+      }
+    }
+    EXPECT_GT(dropped, 0u) << family.name << " never exercised the reduction";
+  }
+}
+
+TEST(KnapsackReduction, ZeroProfitAndOversizeItemsAreNeverKept) {
+  util::Rng rng(811);
+  KnapsackWorkspace ws;
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto items = random_items(rng, std::size_t(rng.uniform_int(0, 25)),
+                                    30);
+    const auto cap = object::Units(rng.uniform_int(0, 40));
+    for (std::size_t i : kept_at(items, cap, ws)) {
+      EXPECT_GT(items[i].profit, 0.0) << "trial " << trial;
+      EXPECT_LE(items[i].size, cap) << "trial " << trial;
+    }
+  }
+}
+
+// Integral profits make every subset sum exact, so brute force can list
+// every optimal subset: a dropped item must be in none of them, not just
+// absent from the one the DP reconstructs.
+TEST(KnapsackReduction, DroppedItemsAreInNoOptimalSubset) {
+  util::Rng rng(2718);
+  KnapsackWorkspace ws;
+  std::size_t dropped_total = 0;
+  for (int trial = 0; trial < 150; ++trial) {
+    const std::size_t n = std::size_t(rng.uniform_int(1, 12));
+    std::vector<KnapsackItem> items(n);
+    for (auto& item : items) {
+      item.size = object::Units(rng.uniform_int(1, 9));
+      item.profit = double(rng.uniform_int(0, 12));
+    }
+    const auto cap = object::Units(rng.uniform_int(0, 30));
+    const std::vector<std::size_t> kept = kept_at(items, cap, ws);
+    std::vector<bool> is_kept(n, false);
+    for (std::size_t i : kept) is_kept[i] = true;
+    dropped_total += n - kept.size();
+
+    const double best = solve_brute_force(items, cap).value;
+    for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
+      double value = 0.0;
+      object::Units used = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (mask & (1u << i)) {
+          value += items[i].profit;
+          used += items[i].size;
+        }
+      }
+      if (used > cap || value != best) continue;
+      for (std::size_t i = 0; i < n; ++i) {
+        if ((mask & (1u << i)) && items[i].profit > 0.0) {
+          EXPECT_TRUE(is_kept[i]) << "trial " << trial << ": item " << i
+                                  << " is in an optimum but was dropped";
+        }
+      }
+    }
+  }
+  EXPECT_GT(dropped_total, 0u);
+}
+
+// Shaped like a busy station's batch: ~640 candidates of size 1..16, over
+// 40% already fresh (profit 0), the rest worth a few requesters' lost
+// recency, against an 800-unit budget. Most rows cannot matter.
+TEST(KnapsackReduction, StationLikeInstanceKeepsUnderHalf) {
+  util::Rng rng(7);
+  std::vector<KnapsackItem> items(640);
+  for (auto& item : items) {
+    item.size = object::Units(rng.uniform_int(1, 16));
+    item.profit = rng.bernoulli(0.45)
+                      ? 0.0
+                      : double(rng.uniform_int(1, 4)) * rng.uniform();
+  }
+  const object::Units cap = 800;
+  KnapsackWorkspace ws;
+  const std::vector<std::size_t> kept = kept_at(items, cap, ws);
+  EXPECT_LT(kept.size(), items.size() / 2);
+
+  KnapsackSolution reduced;
+  solve_dp(items, cap, ws, reduced);
+  const KnapsackSolution expected = KnapsackProfile(items, cap).solution_at(cap);
+  EXPECT_EQ(bits_of(reduced.value), bits_of(expected.value));
+  EXPECT_EQ(reduced.used, expected.used);
+  EXPECT_EQ(reduced.chosen, expected.chosen);
 }
 
 }  // namespace
