@@ -9,7 +9,7 @@
 #include "bench_common.hpp"
 #include "exp/policy_sim.hpp"
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace mobi;
   const util::Flags flags(argc, argv);
   const auto seed = std::uint64_t(flags.get_int("seed", 42));
@@ -52,4 +52,8 @@ int main(int argc, char** argv) {
                "to the larger fixed budgets while spending units/tick near "
                "the frontier's knee.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mobi::bench::guarded_main(argc, argv, bench_main);
 }

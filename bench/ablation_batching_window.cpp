@@ -9,7 +9,7 @@
 #include "bench_common.hpp"
 #include "exp/event_sim.hpp"
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace mobi;
   const util::Flags flags(argc, argv);
 
@@ -36,4 +36,8 @@ int main(int argc, char** argv) {
                "hot requests) while delay grows ~w/2 — the tick model's "
                "w = 1 sits at one point of a real trade-off.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mobi::bench::guarded_main(argc, argv, bench_main);
 }

@@ -10,7 +10,7 @@
 #include "exp/ablation.hpp"
 #include "exp/solution_space.hpp"
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace mobi;
   const util::Flags flags(argc, argv);
 
@@ -40,4 +40,8 @@ int main(int argc, char** argv) {
               "regimes (capacity 5000)",
               "ablation_bound", table);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mobi::bench::guarded_main(argc, argv, bench_main);
 }

@@ -16,7 +16,7 @@
 #include "workload/access.hpp"
 #include "workload/updates.hpp"
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace mobi;
   const util::Flags flags(argc, argv);
   const auto seed = std::uint64_t(flags.get_int("seed", 42));
@@ -91,4 +91,8 @@ int main(int argc, char** argv) {
                "model; longer periods widen the believed-vs-true gap and "
                "drag the true score down.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mobi::bench::guarded_main(argc, argv, bench_main);
 }

@@ -9,7 +9,7 @@
 #include "exp/ablation.hpp"
 #include "exp/solution_space.hpp"
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace mobi;
   const util::Flags flags(argc, argv);
 
@@ -42,4 +42,8 @@ int main(int argc, char** argv) {
                   std::to_string(config.object_count) + " objects)",
               "ablation_solvers", table);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mobi::bench::guarded_main(argc, argv, bench_main);
 }

@@ -77,7 +77,7 @@ double run(const workload::Trace& trace, const object::Catalog& catalog,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   util::Rng rng(std::uint64_t(flags.get_int("seed", 42)));
   const sim::Tick ticks = 150;
@@ -104,4 +104,8 @@ int main(int argc, char** argv) {
                "dominate small transfers the latency-aware mapping keeps "
                "its whole plan feasible and wins.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mobi::bench::guarded_main(argc, argv, bench_main);
 }

@@ -8,7 +8,7 @@
 #include "bench_common.hpp"
 #include "exp/policy_sim.hpp"
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace mobi;
   const util::Flags flags(argc, argv);
 
@@ -32,4 +32,8 @@ int main(int argc, char** argv) {
               "knapsack policy",
               "ablation_scoring", table);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mobi::bench::guarded_main(argc, argv, bench_main);
 }

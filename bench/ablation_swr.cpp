@@ -61,7 +61,7 @@ Outcome run(std::unique_ptr<core::DownloadPolicy> policy,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const auto seed = std::uint64_t(flags.get_int("seed", 42));
   const sim::Tick update_period = 4;  // ground truth the TTL tries to guess
@@ -88,4 +88,8 @@ int main(int argc, char** argv) {
                "objects; TTL > 4 serves stale silently; even the best TTL "
                "trails the update-aware knapsack.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mobi::bench::guarded_main(argc, argv, bench_main);
 }

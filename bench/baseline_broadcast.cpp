@@ -15,7 +15,7 @@
 #include "broadcast/hybrid.hpp"
 #include "exp/policy_sim.hpp"
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace mobi;
   const util::Flags flags(argc, argv);
   const std::size_t n = std::size_t(flags.get_int("objects", 200));
@@ -84,4 +84,8 @@ int main(int argc, char** argv) {
             << cached.average_score
             << "; broadcast trades that staleness for waiting.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mobi::bench::guarded_main(argc, argv, bench_main);
 }

@@ -8,7 +8,7 @@
 #include "bench_common.hpp"
 #include "client/cell.hpp"
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace mobi;
   const util::Flags flags(argc, argv);
   const auto seed = std::uint64_t(flags.get_int("seed", 42));
@@ -22,9 +22,13 @@ int main(int argc, char** argv) {
     auto config = base;
     config.client.cache_units = cache_units;
     const auto result = client::run_cell(config);
-    by_cache.add_row({(long long)(cache_units), result.local_hit_rate(),
-                      result.average_score(),
-                      (long long)(result.base_downloaded)});
+    // Named locals, not call results inside the braces: GCC 12 -O3 reports
+    // false -Wmaybe-uninitialized warnings on the variant temporaries.
+    const long long units = cache_units;
+    const double hit_rate = result.local_hit_rate();
+    const double score = result.average_score();
+    const long long downloaded = result.base_downloaded;
+    by_cache.add_row({units, hit_rate, score, downloaded});
   }
   bench::emit(flags, "Client-cache size sweep (no disconnects)",
               "client_cache_size", by_cache);
@@ -36,9 +40,11 @@ int main(int argc, char** argv) {
     config.report_period = period;
     config.client.cache_units = 40;
     const auto result = client::run_cell(config);
-    by_report.add_row({(long long)(period), result.local_hit_rate(),
-                       result.average_score(),
-                       (long long)(result.sleeper_drops)});
+    const long long ticks = period;
+    const double hit_rate = result.local_hit_rate();
+    const double score = result.average_score();
+    const long long drops = (long long)(result.sleeper_drops);
+    by_report.add_row({ticks, hit_rate, score, drops});
   }
   bench::emit(flags, "Invalidation report period sweep",
               "client_report_period", by_report);
@@ -51,13 +57,19 @@ int main(int argc, char** argv) {
     config.client.disconnect_rate = rate;
     config.client.reconnect_rate = 0.3;
     const auto result = client::run_cell(config);
-    by_disconnect.add_row({rate, (long long)(result.disconnect_ticks),
-                           (long long)(result.sleeper_drops),
-                           result.local_hit_rate(), result.average_score()});
+    const long long off_ticks = (long long)(result.disconnect_ticks);
+    const long long drops = (long long)(result.sleeper_drops);
+    const double hit_rate = result.local_hit_rate();
+    const double score = result.average_score();
+    by_disconnect.add_row({rate, off_ticks, drops, hit_rate, score});
   }
   bench::emit(flags,
               "Disconnect-rate sweep (sleeper rule drops local caches on "
               "reconnect after a missed report window)",
               "client_disconnects", by_disconnect);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mobi::bench::guarded_main(argc, argv, bench_main);
 }

@@ -8,7 +8,7 @@
 #include "bench_common.hpp"
 #include "coop/cooperative.hpp"
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace mobi;
   const util::Flags flags(argc, argv);
   const auto seed = std::uint64_t(flags.get_int("seed", 42));
@@ -62,4 +62,8 @@ int main(int argc, char** argv) {
                 "coop_overlap", table);
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mobi::bench::guarded_main(argc, argv, bench_main);
 }

@@ -8,7 +8,7 @@
 #include "bench_common.hpp"
 #include "broadcast/indexing.hpp"
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace mobi;
   const util::Flags flags(argc, argv);
   const std::size_t data_slots = std::size_t(flags.get_int("data", 2000));
@@ -41,4 +41,8 @@ int main(int argc, char** argv) {
                     (1.0 + double(index_slots) + 1.0))
             << "x cut in listening energy.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mobi::bench::guarded_main(argc, argv, bench_main);
 }

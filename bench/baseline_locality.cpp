@@ -54,7 +54,7 @@ double run(const std::string& policy, double reuse, std::uint64_t seed) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const auto seed = std::uint64_t(flags.get_int("seed", 42));
 
@@ -73,4 +73,8 @@ int main(int argc, char** argv) {
                "policies cover the working set within budget; async gains "
                "nothing from it.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mobi::bench::guarded_main(argc, argv, bench_main);
 }

@@ -51,7 +51,7 @@ Comparison compare(const std::vector<object::Units>& sizes,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   util::Rng rng(std::uint64_t(flags.get_int("seed", 42)));
   const double bandwidth = 10.0;
@@ -84,4 +84,8 @@ int main(int argc, char** argv) {
                "PS mean is lower because small transfers escape early "
                "instead of being charged the whole batch.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mobi::bench::guarded_main(argc, argv, bench_main);
 }

@@ -73,7 +73,7 @@ mobi::coop::CoopConfig variant_config(const mobi::coop::CoopConfig& base,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace mobi;
   const util::Flags flags(argc, argv);
   const coop::CoopConfig base = base_config(flags);
@@ -112,4 +112,8 @@ int main(int argc, char** argv) {
       variant_config(base, kVariants[3], "on-demand-knapsack"), recorder);
   bench::emit_metrics(flags, "coop", recorder);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mobi::bench::guarded_main(argc, argv, bench_main);
 }

@@ -12,7 +12,7 @@
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace mobi;
   const util::Flags flags(argc, argv);
 
@@ -47,4 +47,8 @@ int main(int argc, char** argv) {
               "fault_sweep", table);
   if (flags.has("out")) bench::emit_metrics(flags, "fault_sweep", recorder);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mobi::bench::guarded_main(argc, argv, bench_main);
 }

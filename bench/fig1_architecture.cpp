@@ -13,7 +13,7 @@
 #include "workload/access.hpp"
 #include "workload/updates.hpp"
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace mobi;
   const util::Flags flags(argc, argv);
   util::Rng rng(std::uint64_t(flags.get_int("seed", 42)));
@@ -63,4 +63,8 @@ int main(int argc, char** argv) {
   }
   bench::emit(flags, "Per-cell base stations after 50 ticks", "fig1", table);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mobi::bench::guarded_main(argc, argv, bench_main);
 }

@@ -12,7 +12,7 @@
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace mobi;
   const util::Flags flags(argc, argv);
 
@@ -53,4 +53,8 @@ int main(int argc, char** argv) {
     bench::emit_metrics(flags, "fig2", recorder);
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mobi::bench::guarded_main(argc, argv, bench_main);
 }

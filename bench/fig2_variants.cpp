@@ -72,7 +72,7 @@ object::Units downloaded_units(std::size_t object_count,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const auto seed = std::uint64_t(flags.get_int("seed", 42));
   const std::size_t n = 500;
@@ -102,4 +102,8 @@ int main(int argc, char** argv) {
         staggered ? "fig2_var_staggered" : "fig2_var_sizes", table);
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mobi::bench::guarded_main(argc, argv, bench_main);
 }

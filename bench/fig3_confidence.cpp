@@ -8,7 +8,7 @@
 #include "exp/fig3.hpp"
 #include "exp/replicate.hpp"
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace mobi;
   const util::Flags flags(argc, argv);
   const auto runs = std::size_t(flags.get_int("runs", 5));
@@ -47,4 +47,8 @@ int main(int argc, char** argv) {
   std::cout << "Read: 'gap / ci' >> 1 means the on-demand advantage is "
                "signal, not seed noise.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mobi::bench::guarded_main(argc, argv, bench_main);
 }

@@ -55,7 +55,7 @@ double run_once(const workload::Trace& trace, std::size_t object_count,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const auto seed = std::uint64_t(flags.get_int("seed", 42));
   const std::size_t n = 500;
@@ -82,4 +82,8 @@ int main(int argc, char** argv) {
                       table);
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mobi::bench::guarded_main(argc, argv, bench_main);
 }

@@ -31,7 +31,7 @@ exp::Replication corner(object::Correlation size_vs_requests,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const auto seeds = exp::seed_ladder(std::uint64_t(flags.get_int("seed", 42)),
                                       std::size_t(flags.get_int("runs", 5)));
@@ -58,4 +58,8 @@ int main(int argc, char** argv) {
                "and 'positive' the most — the paper's Fig 5/6 ordering, "
                "stable across instances.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mobi::bench::guarded_main(argc, argv, bench_main);
 }

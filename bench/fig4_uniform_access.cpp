@@ -9,7 +9,7 @@
 #include "bench_common.hpp"
 #include "exp/solution_space.hpp"
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace mobi;
   const util::Flags flags(argc, argv);
   const auto seed = std::uint64_t(flags.get_int("seed", 42));
@@ -42,4 +42,8 @@ int main(int argc, char** argv) {
               "Object Size and Cache Recency Score",
               "fig4", table);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mobi::bench::guarded_main(argc, argv, bench_main);
 }

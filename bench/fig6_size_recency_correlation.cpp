@@ -48,7 +48,7 @@ void run_panel(const mobi::util::Flags& flags, const char* title,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace mobi;
   const util::Flags flags(argc, argv);
   const auto seed = std::uint64_t(flags.get_int("seed", 42));
@@ -62,4 +62,8 @@ int main(int argc, char** argv) {
             "(Size vs Recency positive)",
             "fig6b", object::Correlation::kPositive, seed, step);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mobi::bench::guarded_main(argc, argv, bench_main);
 }

@@ -333,7 +333,7 @@ void run_hotpath(const mobi::util::Flags& flags) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   const mobi::util::Flags flags(argc, argv);
   run_hotpath(flags);
   if (flags.get_bool("quick", false)) return 0;
@@ -357,4 +357,8 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mobi::bench::guarded_main(argc, argv, bench_main);
 }

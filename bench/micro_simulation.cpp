@@ -173,7 +173,7 @@ void run_hotpath(const util::Flags& flags) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   run_hotpath(flags);
   if (flags.get_bool("quick", false)) return 0;
@@ -197,4 +197,8 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mobi::bench::guarded_main(argc, argv, bench_main);
 }

@@ -59,7 +59,7 @@ constexpr Churn kChurns[] = {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace mobi;
   const util::Flags flags(argc, argv);
 
@@ -102,4 +102,8 @@ int main(int argc, char** argv) {
   exp::run_multi_cell(config, nullptr, &recorder);
   bench::emit_metrics(flags, "mobility", recorder);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mobi::bench::guarded_main(argc, argv, bench_main);
 }

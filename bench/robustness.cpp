@@ -59,7 +59,7 @@ double run(const std::string& policy_name, sim::Tick hot_shift_period,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const auto seed = std::uint64_t(flags.get_int("seed", 42));
 
@@ -85,4 +85,8 @@ int main(int argc, char** argv) {
   mobi::bench::emit(flags, "Robustness: transient fetch faults (static zipf)",
                     "robustness_faults", faults);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mobi::bench::guarded_main(argc, argv, bench_main);
 }

@@ -107,7 +107,7 @@ long peak_rss_kb() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace mobi;
   const util::Flags flags(argc, argv);
   const bool quick = flags.get_bool("quick", false);
@@ -279,4 +279,8 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mobi::bench::guarded_main(argc, argv, bench_main);
 }

@@ -120,10 +120,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const std::invalid_argument& error) {
-    std::cerr << "soak: " << error.what() << '\n';
-    return 2;
-  }
+  return mobi::bench::guarded_main(argc, argv, run);
 }

@@ -8,7 +8,7 @@
 #include "exp/solution_space.hpp"
 #include "util/stats.hpp"
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace mobi;
   const util::Flags flags(argc, argv);
 
@@ -44,4 +44,8 @@ int main(int argc, char** argv) {
               "Generated instance conformance (500 objects, totals 5000/5000)",
               "table1_conformance", check);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mobi::bench::guarded_main(argc, argv, bench_main);
 }

@@ -63,7 +63,7 @@ ProxyOutcome run_proxy(const object::Catalog& catalog,
     // Decide which requested pages to revalidate at the origin: knapsack
     // over profit computed against the bounded cache's recency state.
     const auto set =
-        core::build_candidates(batch, catalog, proxy_cache.inner(), scorer);
+        core::build_candidates(batch, catalog, proxy_cache, scorer);
     std::vector<core::KnapsackItem> items;
     for (const auto& cand : set.candidates) {
       items.push_back(core::KnapsackItem{cand.size, cand.profit});

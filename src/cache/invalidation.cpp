@@ -4,6 +4,17 @@
 #include <stdexcept>
 
 namespace mobi::cache {
+namespace {
+
+// Orders report items against an object id.
+struct ById {
+  bool operator()(const InvalidationReport::Item& item,
+                  object::ObjectId id) const noexcept {
+    return item.object < id;
+  }
+};
+
+}  // namespace
 
 InvalidationLog::InvalidationLog(std::size_t object_count)
     : object_count_(object_count), updates_(object_count) {}
@@ -51,19 +62,38 @@ void InvalidationLog::prune(sim::Tick before) {
 
 InvalidationSink make_sink(Cache& cache) {
   InvalidationSink sink;
-  sink.object_count = [&cache] { return cache.object_count(); };
-  sink.contains = [&cache](object::ObjectId id) { return cache.contains(id); };
-  sink.decay = [&cache](object::ObjectId id) { cache.on_server_update(id); };
-  sink.drop = [&cache](object::ObjectId id) { cache.evict(id); };
+  sink.decay_reported = [&cache](const InvalidationReport& report) {
+    int decayed = 0;
+    for (const auto& item : report.items) {
+      for (std::uint32_t k = 0; k < item.updates; ++k) {
+        if (cache.contains(item.object)) {
+          cache.on_server_update(item.object);
+          ++decayed;
+        }
+      }
+    }
+    return decayed;
+  };
+  sink.drop_all = [&cache] {
+    const std::size_t n = cache.object_count();
+    for (object::ObjectId id = 0; id < n; ++id) cache.evict(id);
+  };
   return sink;
 }
 
 InvalidationSink make_sink(BoundedCache& cache) {
   InvalidationSink sink;
-  sink.object_count = [&cache] { return cache.inner().object_count(); };
-  sink.contains = [&cache](object::ObjectId id) { return cache.contains(id); };
-  sink.decay = [&cache](object::ObjectId id) { cache.on_server_update(id); };
-  sink.drop = [&cache](object::ObjectId id) { cache.evict(id); };
+  sink.decay_reported = [&cache](const InvalidationReport& report) {
+    // Residents and items are both id-ordered, so each search starts
+    // where the previous one ended.
+    auto from = report.items.begin();
+    return cache.decay_residents([&](object::ObjectId id) -> std::uint32_t {
+      from = std::lower_bound(from, report.items.end(), id, ById{});
+      return from != report.items.end() && from->object == id ? from->updates
+                                                               : 0;
+    });
+  };
+  sink.drop_all = [&cache] { cache.clear(); };
   return sink;
 }
 
@@ -75,7 +105,7 @@ InvalidationListener::InvalidationListener(BoundedCache& cache)
 
 InvalidationListener::InvalidationListener(InvalidationSink sink)
     : sink_(std::move(sink)) {
-  if (!sink_.object_count || !sink_.contains || !sink_.decay || !sink_.drop) {
+  if (!sink_.decay_reported || !sink_.drop_all) {
     throw std::invalid_argument("InvalidationListener: incomplete sink");
   }
 }
@@ -87,23 +117,14 @@ int InvalidationListener::apply(const InvalidationReport& report) {
   // Sleeper rule: a gap between the last report heard and this one means
   // we may have missed invalidations — nothing cached can be trusted.
   if (heard_any_ && report.window_start > last_end_) {
-    const std::size_t n = sink_.object_count();
-    for (object::ObjectId id = 0; id < n; ++id) sink_.drop(id);
+    sink_.drop_all();
     ++drops_;
     last_end_ = report.window_end;
     ++applied_;
     // The report's own contents are irrelevant: the cache is empty now.
     return -1;
   }
-  int decayed = 0;
-  for (const auto& item : report.items) {
-    for (std::uint32_t k = 0; k < item.updates; ++k) {
-      if (sink_.contains(item.object)) {
-        sink_.decay(item.object);
-        ++decayed;
-      }
-    }
-  }
+  const int decayed = sink_.decay_reported(report);
   heard_any_ = true;
   last_end_ = std::max(last_end_, report.window_end);
   ++applied_;

@@ -28,7 +28,8 @@ struct InvalidationReport {
   sim::Tick window_start = 0;  // report covers updates in [start, end)
   sim::Tick window_end = 0;
   /// Objects updated during the window with their update multiplicity
-  /// (an object updated k times in the window appears once with count k).
+  /// (an object updated k times in the window appears once with count k),
+  /// in id order.
   struct Item {
     object::ObjectId object = 0;
     std::uint32_t updates = 0;
@@ -65,14 +66,20 @@ class InvalidationLog {
   std::size_t total_ = 0;
 };
 
-/// What a listener needs from the cache it maintains.
+/// What a listener needs from the cache it maintains, one call per report.
 struct InvalidationSink {
-  std::function<std::size_t()> object_count;
-  std::function<bool(object::ObjectId)> contains;
-  std::function<void(object::ObjectId)> decay;  // one missed update
-  std::function<void(object::ObjectId)> drop;   // evict the entry
+  /// Applies one missed update per reported update to every cached entry
+  /// the report names; returns the number of decays applied.
+  std::function<int(const InvalidationReport&)> decay_reported;
+  /// Drops every cached entry (the sleeper rule).
+  std::function<void()> drop_all;
 };
 
+/// The Cache adapter walks the report's items; the BoundedCache adapter
+/// walks its residents and binary-searches the id-ordered items, so a
+/// small cache pays for what it holds, not for the report's length.
+/// Decays of different objects are independent, so both orders leave the
+/// same state.
 InvalidationSink make_sink(Cache& cache);
 InvalidationSink make_sink(BoundedCache& cache);
 

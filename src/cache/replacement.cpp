@@ -40,89 +40,115 @@ BoundedCache::BoundedCache(const object::Catalog& catalog,
                            std::shared_ptr<const DecayModel> decay,
                            object::Units capacity, ReplacementPolicy policy)
     : catalog_(&catalog),
-      cache_(catalog.size(), std::move(decay)),
+      decay_(std::move(decay)),
       capacity_(capacity),
-      policy_(std::move(policy)),
-      residency_(catalog.size()) {
+      policy_(std::move(policy)) {
+  if (!decay_) throw std::invalid_argument("BoundedCache: null decay model");
   if (capacity <= 0) {
     throw std::invalid_argument("BoundedCache: capacity must be > 0");
   }
   if (!policy_.priority) {
     throw std::invalid_argument("BoundedCache: policy has no priority fn");
   }
+  // Every resident is at least min_size() units and they share capacity_,
+  // so this reservation is never outgrown: admits do not allocate.
+  if (!catalog.empty()) {
+    residents_.reserve(std::min<std::size_t>(
+        catalog.size(), std::size_t(capacity / catalog.min_size())));
+  }
 }
 
-bool BoundedCache::admit(object::ObjectId id, const server::FetchResult& fetch,
+std::vector<Residency>::const_iterator BoundedCache::position(
+    object::ObjectId id) const {
+  if (id >= catalog_->size()) {
+    throw std::out_of_range("BoundedCache: bad object id");
+  }
+  return std::lower_bound(
+      residents_.begin(), residents_.end(), id,
+      [](const Residency& r, object::ObjectId key) { return r.id < key; });
+}
+
+const Residency* BoundedCache::find(object::ObjectId id) const {
+  const auto it = position(id);
+  return it != residents_.end() && it->id == id ? &*it : nullptr;
+}
+
+std::optional<double> BoundedCache::recency(object::ObjectId id) const {
+  const Residency* meta = find(id);
+  if (!meta) return std::nullopt;
+  return meta->recency;
+}
+
+bool BoundedCache::admit(object::ObjectId id, const server::FetchResult&,
                          sim::Tick now, double recency) {
   const object::Units size = catalog_->object_size(id);
   if (size > capacity_) return false;
-  if (cache_.contains(id)) {
+  if (!(recency > 0.0) || recency > 1.0) {
+    throw std::invalid_argument(
+        "BoundedCache::admit: recency must be in (0, 1]");
+  }
+  ++stats_.refreshes;
+  if (Residency* meta = find(id)) {
     // Refresh in place: size already accounted.
-    cache_.refresh(id, fetch, now, recency);
-    residency_[id]->recency = recency;
+    meta->recency = recency;
     return true;
   }
   evict_until_fits(size, now);
-  cache_.refresh(id, fetch, now, recency);
-  residency_[id] = Residency{id, size, recency, now, 0};
+  residents_.insert(position(id), Residency{id, size, recency, now, 0});
   used_ += size;
   return true;
 }
 
 std::optional<double> BoundedCache::read(object::ObjectId id, sim::Tick now) {
-  cache_.record_read(id);
-  const auto score = cache_.recency(id);
-  if (score) {
-    auto& meta = residency_[id];
-    meta->last_access = now;
-    ++meta->access_count;
-    meta->recency = *score;
+  Residency* meta = find(id);
+  if (!meta) {
+    ++stats_.misses;
+    return std::nullopt;
   }
-  return score;
+  ++stats_.hits;
+  meta->last_access = now;
+  ++meta->access_count;
+  return meta->recency;
 }
 
 void BoundedCache::on_server_update(object::ObjectId id) {
-  cache_.on_server_update(id);
-  if (auto& meta = residency_[id]) {
-    meta->recency = cache_.recency(id).value_or(meta->recency);
+  if (Residency* meta = find(id)) {
+    meta->recency = decay_->decayed(meta->recency);
+    ++stats_.decays;
   }
 }
 
 bool BoundedCache::evict(object::ObjectId id) {
-  if (!cache_.evict(id)) return false;
-  used_ -= residency_[id]->size;
-  residency_[id].reset();
+  const auto it = position(id);
+  if (it == residents_.end() || it->id != id) return false;
+  used_ -= it->size;
+  residents_.erase(it);
   return true;
 }
 
-std::vector<Residency> BoundedCache::residents() const {
-  std::vector<Residency> result;
-  result.reserve(cache_.resident());
-  for (const auto& meta : residency_) {
-    if (meta) result.push_back(*meta);
-  }
-  return result;
+void BoundedCache::clear() noexcept {
+  residents_.clear();
+  used_ = 0;
 }
 
 void BoundedCache::evict_until_fits(object::Units need, sim::Tick now) {
   while (capacity_ - used_ < need) {
-    // Select the resident entry with the highest eviction priority.
+    // The resident with the highest eviction priority; on ties the lowest
+    // id wins (strict > over the id-ordered scan).
     double best_priority = -std::numeric_limits<double>::infinity();
-    std::optional<object::ObjectId> victim;
-    for (const auto& meta : residency_) {
-      if (!meta) continue;
-      const double priority = policy_.priority(*meta, now);
+    auto victim = residents_.end();
+    for (auto it = residents_.begin(); it != residents_.end(); ++it) {
+      const double priority = policy_.priority(*it, now);
       if (priority > best_priority) {
         best_priority = priority;
-        victim = meta->id;
+        victim = it;
       }
     }
-    if (!victim) {
+    if (victim == residents_.end()) {
       throw std::logic_error("BoundedCache: no victim but cache is full");
     }
-    used_ -= residency_[*victim]->size;
-    residency_[*victim].reset();
-    cache_.evict(*victim);
+    used_ -= victim->size;
+    residents_.erase(victim);
     ++evictions_;
   }
 }

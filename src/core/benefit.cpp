@@ -110,10 +110,14 @@ CandidateSet build_candidates(const workload::RequestBatch& batch,
   return builder.build(batch, catalog, cache, scorer);
 }
 
-CandidateSet build_candidates_reference(const workload::RequestBatch& batch,
-                                        const object::Catalog& catalog,
-                                        const cache::Cache& cache,
-                                        const RecencyScorer& scorer) {
+namespace {
+
+// The ordered-map aggregation over any cache with recency_or_zero().
+template <class AnyCache>
+CandidateSet build_candidates_by_map(const workload::RequestBatch& batch,
+                                     const object::Catalog& catalog,
+                                     const AnyCache& cache,
+                                     const RecencyScorer& scorer) {
   // Aggregate per object in id order for deterministic output.
   std::map<object::ObjectId, DownloadCandidate> by_object;
   CandidateSet set;
@@ -135,6 +139,22 @@ CandidateSet build_candidates_reference(const workload::RequestBatch& batch,
   set.candidates.reserve(by_object.size());
   for (auto& [id, cand] : by_object) set.candidates.push_back(cand);
   return set;
+}
+
+}  // namespace
+
+CandidateSet build_candidates(const workload::RequestBatch& batch,
+                              const object::Catalog& catalog,
+                              const cache::BoundedCache& cache,
+                              const RecencyScorer& scorer) {
+  return build_candidates_by_map(batch, catalog, cache, scorer);
+}
+
+CandidateSet build_candidates_reference(const workload::RequestBatch& batch,
+                                        const object::Catalog& catalog,
+                                        const cache::Cache& cache,
+                                        const RecencyScorer& scorer) {
+  return build_candidates_by_map(batch, catalog, cache, scorer);
 }
 
 CandidateSet build_candidates_from_aggregates(

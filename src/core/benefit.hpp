@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "cache/cache.hpp"
+#include "cache/replacement.hpp"
 #include "core/peer_source.hpp"
 #include "core/residency.hpp"
 #include "core/scoring.hpp"
@@ -73,6 +74,13 @@ struct CandidateSet {
 CandidateSet build_candidates(const workload::RequestBatch& batch,
                               const object::Catalog& catalog,
                               const cache::Cache& cache,
+                              const RecencyScorer& scorer);
+
+/// The same over a bounded cache's residents (id-ordered aggregation;
+/// identical to the dense overload for equal recency state).
+CandidateSet build_candidates(const workload::RequestBatch& batch,
+                              const object::Catalog& catalog,
+                              const cache::BoundedCache& cache,
                               const RecencyScorer& scorer);
 
 /// Reference implementation of build_candidates using an ordered map —

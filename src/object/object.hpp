@@ -36,6 +36,8 @@ class Catalog {
     return sizes_[id];
   }
   Units total_size() const noexcept { return total_; }
+  /// Size of the smallest object; 0 for an empty catalog.
+  Units min_size() const noexcept { return min_; }
   ObjectInfo info(ObjectId id) const { return {id, object_size(id)}; }
 
   const std::vector<Units>& sizes() const noexcept { return sizes_; }
@@ -43,6 +45,7 @@ class Catalog {
  private:
   std::vector<Units> sizes_;
   Units total_ = 0;
+  Units min_ = 0;
 };
 
 }  // namespace mobi::object

@@ -19,6 +19,9 @@
 #include <vector>
 
 #include "cache/decay.hpp"
+#include "cache/invalidation.hpp"
+#include "cache/replacement.hpp"
+#include "client/mobile_client.hpp"
 #include "coop/cooperative.hpp"
 #include "core/base_station.hpp"
 #include "core/knapsack.hpp"
@@ -39,15 +42,18 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_allocated_bytes{0};
 
 void* counted_alloc(std::size_t size) {
   ++g_allocations;
+  g_allocated_bytes += size;
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 
 void* counted_aligned_alloc(std::size_t size, std::size_t alignment) {
   ++g_allocations;
+  g_allocated_bytes += size;
   // aligned_alloc requires size to be a multiple of the alignment.
   const std::size_t rounded = (size + alignment - 1) / alignment * alignment;
   if (void* p = std::aligned_alloc(alignment, rounded ? rounded : alignment)) {
@@ -62,10 +68,12 @@ void* operator new(std::size_t size) { return counted_alloc(size); }
 void* operator new[](std::size_t size) { return counted_alloc(size); }
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   ++g_allocations;
+  g_allocated_bytes += size;
   return std::malloc(size ? size : 1);
 }
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
   ++g_allocations;
+  g_allocated_bytes += size;
   return std::malloc(size ? size : 1);
 }
 void* operator new(std::size_t size, std::align_val_t align) {
@@ -359,6 +367,79 @@ TEST(AllocRegression, MobilityFleetSteadyStateIsAllocationFree) {
   // The measured ticks actually carried mobility traffic.
   EXPECT_GT(fleet.stats().crossings, warm_crossings);
   EXPECT_GT(fleet.stats().deliveries, 0u);
+}
+
+// A client's cache holds its residents in storage reserved at
+// construction, and the invalidation sink walks them in place: once
+// built, a client serves, stores, hears reports and drops its cache under
+// the sleeper rule without touching the heap.
+TEST(AllocRegression, WarmMobileClientIsAllocationFree) {
+  util::Rng rng(13);
+  const auto catalog = object::make_random_catalog(200, 1, 8, rng);
+  client::MobileClient mobile(0, catalog, {});
+  // Reports over every third object, then one after a missed window.
+  std::vector<cache::InvalidationReport> reports;
+  for (sim::Tick w = 0; w < 8; ++w) {
+    cache::InvalidationReport report{5 * w, 5 * (w + 1), {}};
+    for (object::ObjectId id = object::ObjectId(w % 3); id < 200; id += 3) {
+      report.items.push_back({id, 1 + std::uint32_t(id % 2)});
+    }
+    reports.push_back(std::move(report));
+  }
+  reports.push_back(cache::InvalidationReport{50, 55, {}});  // gap: sleeper
+  std::vector<object::ObjectId> wants;
+  for (int i = 0; i < 400; ++i) {
+    wants.push_back(object::ObjectId(rng.uniform_int(0, 199)));
+  }
+  const server::FetchResult fetched{1, 0, 1};
+
+  const auto one_pass = [&](sim::Tick base) {
+    for (std::size_t i = 0; i < wants.size(); ++i) {
+      const sim::Tick now = base + sim::Tick(i);
+      if (!mobile.lookup(wants[i], now)) {
+        mobile.store(wants[i], fetched, now, i % 4 == 0 ? 0.5 : 1.0);
+      }
+      if (i % 50 == 49) mobile.hear_report(reports[i / 50]);
+    }
+  };
+  one_pass(0);  // warm-up (the first pass already fills the cache)
+  const std::uint64_t drops = mobile.sleeper_drops();
+  const std::uint64_t before = g_allocations.load();
+  mobile.hear_report(reports.back());  // the sleeper rule fires
+  for (int pass = 1; pass <= 3; ++pass) one_pass(1000 * pass);
+  const std::uint64_t after = g_allocations.load();
+  EXPECT_EQ(after - before, 0u)
+      << (after - before) << " steady-state heap allocations";
+  EXPECT_GT(mobile.sleeper_drops(), drops);
+  EXPECT_GT(mobile.hits(), 0u);
+}
+
+// A bounded cache is sized by its capacity, not by the catalog: twenty
+// units of cache over a million objects, with its invalidation listener,
+// cost a few hundred bytes of heap however much it churns.
+TEST(AllocRegression, BoundedCacheIsSizedByCapacity) {
+  constexpr std::size_t kObjects = 1'000'000;
+  const auto catalog = object::make_uniform_catalog(kObjects, 1);
+  cache::InvalidationReport report{0, 1, {}};
+  for (object::ObjectId id = 0; id < kObjects; id += 997) {
+    report.items.push_back({id, 1});
+  }
+  const server::FetchResult fetched{1, 0, 1};
+  const std::uint64_t before = g_allocated_bytes.load();
+  {
+    cache::BoundedCache store(catalog, cache::make_harmonic_decay(), 20,
+                              cache::lru_policy());
+    cache::InvalidationListener listener(store);
+    for (sim::Tick t = 0; t < 200; ++t) {
+      const auto id = object::ObjectId((std::size_t(t) * 997) % kObjects);
+      store.admit(id, fetched, t);
+      store.read(id, t);
+    }
+    EXPECT_EQ(store.used(), 20);
+    EXPECT_GT(listener.apply(report), 0);
+  }
+  const std::uint64_t bytes = g_allocated_bytes.load() - before;
+  EXPECT_LT(bytes, 4096u) << bytes << " bytes allocated";
 }
 
 TEST(AllocRegression, StreamingSinkSteadyStateIsAllocationFree) {

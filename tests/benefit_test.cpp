@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/decay.hpp"
+#include "cache/replacement.hpp"
 #include "object/builders.hpp"
 
 namespace mobi::core {
@@ -67,6 +68,36 @@ TEST(BuildCandidates, EmptyBatch) {
   const auto set = build_candidates({}, catalog, cache, scorer);
   EXPECT_TRUE(set.candidates.empty());
   EXPECT_EQ(set.total_requests, 0u);
+}
+
+TEST(BuildCandidates, BoundedCacheMatchesDenseCacheWithSameState) {
+  const auto catalog = object::Catalog({2, 3, 1, 4});
+  cache::Cache dense(4, cache::make_harmonic_decay());
+  cache::BoundedCache bounded(catalog, cache::make_harmonic_decay(), 8,
+                              cache::lru_policy());
+  const server::FetchResult fetched{1, 0, 2};
+  for (object::ObjectId id : {0u, 2u, 3u}) {
+    dense.refresh(id, fetched, 0, id == 2 ? 0.5 : 1.0);
+    bounded.admit(id, fetched, 0, id == 2 ? 0.5 : 1.0);
+  }
+  dense.on_server_update(3);
+  bounded.on_server_update(3);
+  ReciprocalScorer scorer;
+  const workload::RequestBatch batch{
+      {3, 1.0, 0}, {1, 0.8, 1}, {0, 1.0, 2}, {2, 0.6, 3}, {3, 0.5, 4}};
+  const auto want = build_candidates(batch, catalog, dense, scorer);
+  const auto got = build_candidates(batch, catalog, bounded, scorer);
+  ASSERT_EQ(got.candidates.size(), want.candidates.size());
+  for (std::size_t i = 0; i < want.candidates.size(); ++i) {
+    EXPECT_EQ(got.candidates[i].object, want.candidates[i].object);
+    EXPECT_EQ(got.candidates[i].size, want.candidates[i].size);
+    EXPECT_EQ(got.candidates[i].requests, want.candidates[i].requests);
+    EXPECT_EQ(got.candidates[i].profit, want.candidates[i].profit);
+    EXPECT_EQ(got.candidates[i].cached_score_sum,
+              want.candidates[i].cached_score_sum);
+  }
+  EXPECT_EQ(got.total_requests, want.total_requests);
+  EXPECT_EQ(got.baseline_score_sum, want.baseline_score_sum);
 }
 
 TEST(BuildFromAggregates, ProfitFormula) {

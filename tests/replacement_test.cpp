@@ -109,7 +109,7 @@ TEST(BoundedCache, ReadOnMissReturnsNullopt) {
   const auto catalog = object::Catalog({2});
   BoundedCache cache(catalog, make_harmonic_decay(), 4, lru_policy());
   EXPECT_FALSE(cache.read(0, 0).has_value());
-  EXPECT_EQ(cache.inner().stats().misses, 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
 }
 
 TEST(BoundedCache, ResidentsReportMetadata) {
