@@ -76,5 +76,5 @@ static int bench_main(int argc, char** argv) {
 }
 
 int main(int argc, char** argv) {
-  return mobi::bench::guarded_main(argc, argv, bench_main);
+  return mobi::util::guarded_main(argc, argv, bench_main);
 }

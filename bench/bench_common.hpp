@@ -2,7 +2,6 @@
 #pragma once
 
 #include <iostream>
-#include <stdexcept>
 #include <string>
 
 #include "obs/recorder.hpp"
@@ -36,21 +35,6 @@ inline void emit_metrics(const util::Flags& flags, const std::string& slug,
   std::cout << "(wrote " << path << ": " << recorder.samples()
             << " ticks x " << recorder.series_names().size()
             << " series)\n\n";
-}
-
-/// Runs a bench's `main` body. A bad flag or flag value (any
-/// std::invalid_argument escaping `body`) prints "<name>: <message>" on
-/// stderr and returns 2 — the metrics_diff/metrics_query usage-error code —
-/// instead of aborting on an uncaught exception.
-inline int guarded_main(int argc, char** argv, int (*body)(int, char**)) {
-  try {
-    return body(argc, argv);
-  } catch (const std::invalid_argument& error) {
-    std::string name = argc > 0 ? argv[0] : "bench";
-    name.erase(0, name.find_last_of('/') + 1);
-    std::cerr << name << ": " << error.what() << '\n';
-    return 2;
-  }
 }
 
 }  // namespace mobi::bench

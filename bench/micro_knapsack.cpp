@@ -19,7 +19,6 @@
 #include "cache/decay.hpp"
 #include "core/benefit.hpp"
 #include "core/knapsack.hpp"
-#include "core/knapsack_parallel.hpp"
 #include "object/builders.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
@@ -95,49 +94,29 @@ void BM_KnapsackBranchAndBound(benchmark::State& state) {
 }
 BENCHMARK(BM_KnapsackBranchAndBound)->Range(32, 256);
 
-// The same 512-item DP pinned to one kernel: arg 1 = scalar, 2 = word-
-// parallel baseline, 3 = AVX2-dispatched word-parallel (skipped where the
-// host or toolchain lacks it). Restores the auto-detected kernel on exit.
+// The 512-item DP fill (every item, no shortcut or reduction) on one
+// kernel: arg 0 = scalar loop, 1 = AVX2 two-row (skipped where the host
+// or toolchain lacks AVX2).
 void BM_KnapsackDpKernel(benchmark::State& state) {
   using mobi::core::detail::DpKernel;
   const auto kernel = DpKernel(state.range(0));
-  if (!mobi::core::detail::dp_kernel_supported(kernel)) {
-    state.SkipWithError("kernel unsupported on this host");
+  if (kernel == DpKernel::kTwoRowAvx2 &&
+      mobi::core::detail::best_dp_kernel() != kernel) {
+    state.SkipWithError("no AVX2 on this host");
     return;
   }
   const auto items = make_items(512);
-  const Units capacity = 2560;
-  mobi::core::detail::set_dp_kernel(kernel);
+  const std::size_t capacity = 2560;
   mobi::core::KnapsackWorkspace ws;
-  mobi::core::KnapsackSolution out;
   for (auto _ : state) {
-    mobi::core::solve_dp(items, capacity, ws, out);
-    benchmark::DoNotOptimize(out.value);
+    mobi::core::detail::dp_fill(items, capacity, ws, (capacity + 64) / 64,
+                                kernel);
+    benchmark::ClobberMemory();
   }
-  mobi::core::detail::set_dp_kernel(DpKernel::kAuto);
 }
 BENCHMARK(BM_KnapsackDpKernel)
     ->Arg(int(mobi::core::detail::DpKernel::kScalar))
-    ->Arg(int(mobi::core::detail::DpKernel::kWordParallel))
-    ->Arg(int(mobi::core::detail::DpKernel::kWordParallelAvx2));
-
-// Parallel branch-and-bound at 1/2/4/8 worker threads over the 512-item
-// instance (results identical to solve_dp by contract; only the clock
-// moves with the pool size).
-void BM_KnapsackParallelBnb(benchmark::State& state) {
-  const auto items = make_items(512);
-  const Units capacity = 2560;
-  mobi::core::ParallelBnbConfig config;
-  config.threads = std::size_t(state.range(0));
-  mobi::core::ParallelKnapsackEngine engine(config);
-  mobi::core::KnapsackWorkspace ws;
-  mobi::core::KnapsackSolution out;
-  for (auto _ : state) {
-    engine.solve(items, capacity, ws, out);
-    benchmark::DoNotOptimize(out.value);
-  }
-}
-BENCHMARK(BM_KnapsackParallelBnb)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+    ->Arg(int(mobi::core::detail::DpKernel::kTwoRowAvx2));
 
 void BM_ProfileReconstruction(benchmark::State& state) {
   const auto items = make_items(256);
@@ -185,13 +164,14 @@ void run_hotpath(const mobi::util::Flags& flags) {
   auto& speedup_gauge = registry.register_gauge("hotpath.speedup");
   obs::SeriesRecorder recorder(registry);
 
-  // Kernel comparison and per-thread B&B scaling on the canonical 512-item
-  // instance (same shape as BM_KnapsackDp/512), exported as gauges so the
-  // BENCH_hotpath.json trend records the curves alongside the select-path
+  // Kernel comparison on the canonical 512-item instance (same shape as
+  // BM_KnapsackDp/512): the raw DP fill per kernel, plus the full
+  // solve_dp (shortcuts, reduction, best kernel, reconstruction), exported
+  // as gauges so the metrics JSON records them alongside the select-path
   // numbers. Gauges are set once here and sampled every recorder round.
   {
     const auto items512 = make_items(512);
-    const Units cap512 = 2560;
+    const std::size_t cap512 = 2560;
     core::KnapsackWorkspace kws;
     core::KnapsackSolution ksol;
     const int reps = quick ? 5 : 40;
@@ -202,48 +182,37 @@ void run_hotpath(const mobi::util::Flags& flags) {
       const auto t1 = Clock::now();
       return std::chrono::duration<double, std::nano>(t1 - t0).count() / reps;
     };
+    using core::detail::DpKernel;
     struct KernelRow {
-      core::detail::DpKernel kernel;
+      DpKernel kernel;
       const char* name;
     };
-    const KernelRow kernels[] = {
-        {core::detail::DpKernel::kScalar, "scalar"},
-        {core::detail::DpKernel::kWordParallel, "word_parallel"},
-        {core::detail::DpKernel::kWordParallelAvx2, "word_parallel_avx2"},
-    };
+    const KernelRow kernels[] = {{DpKernel::kScalar, "scalar"},
+                                 {DpKernel::kTwoRowAvx2, "two_row_avx2"}};
     std::printf("== micro_knapsack dp kernels (512 items, cap 2560) ==\n");
     double scalar_ns = 0.0;
     for (const KernelRow& row : kernels) {
-      if (!core::detail::dp_kernel_supported(row.kernel)) continue;
-      core::detail::set_dp_kernel(row.kernel);
-      const double ns =
-          time_ns([&] { core::solve_dp(items512, cap512, kws, ksol); });
-      if (row.kernel == core::detail::DpKernel::kScalar) scalar_ns = ns;
+      if (row.kernel == DpKernel::kTwoRowAvx2 &&
+          core::detail::best_dp_kernel() != row.kernel) {
+        continue;
+      }
+      const double ns = time_ns([&] {
+        core::detail::dp_fill(items512, cap512, kws, (cap512 + 64) / 64,
+                              row.kernel);
+      });
+      if (row.kernel == DpKernel::kScalar) scalar_ns = ns;
       registry
           .register_gauge(std::string("knapsack.dp512.") + row.name +
-                          "_ns_per_solve")
+                          "_ns_per_fill")
           .set(ns);
-      std::printf("  %-20s %9.0f ns/solve (%.2fx vs scalar)\n", row.name, ns,
+      std::printf("  %-20s %9.0f ns/fill  (%.2fx vs scalar)\n", row.name, ns,
                   scalar_ns / ns);
     }
-    core::detail::set_dp_kernel(core::detail::DpKernel::kAuto);
-    std::printf("== micro_knapsack parallel bnb scaling (512 items) ==\n");
-    double t1_ns = 0.0;
-    for (std::size_t bnb_threads : {1u, 2u, 4u, 8u}) {
-      core::ParallelBnbConfig config;
-      config.threads = bnb_threads;
-      core::ParallelKnapsackEngine engine(config);
-      const double ns =
-          time_ns([&] { engine.solve(items512, cap512, kws, ksol); });
-      if (bnb_threads == 1) t1_ns = ns;
-      const std::string base =
-          "knapsack.bnb512.t" + std::to_string(bnb_threads);
-      registry.register_gauge(base + "_ns_per_solve").set(ns);
-      registry.register_gauge(base + "_speedup").set(t1_ns / ns);
-      std::printf("  t%-19zu %9.0f ns/solve (%.2fx vs t1)\n", bnb_threads, ns,
-                  t1_ns / ns);
-    }
-    std::printf("\n");
+    const double solve_ns = time_ns(
+        [&] { core::solve_dp(items512, Units(cap512), kws, ksol); });
+    registry.register_gauge("knapsack.dp512.solve_dp_ns_per_solve")
+        .set(solve_ns);
+    std::printf("  %-20s %9.0f ns/solve\n\n", "solve_dp", solve_ns);
   }
 
   core::CandidateBuilder builder;
@@ -360,5 +329,5 @@ static int bench_main(int argc, char** argv) {
 }
 
 int main(int argc, char** argv) {
-  return mobi::bench::guarded_main(argc, argv, bench_main);
+  return mobi::util::guarded_main(argc, argv, bench_main);
 }

@@ -120,5 +120,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return mobi::bench::guarded_main(argc, argv, run);
+  return mobi::util::guarded_main(argc, argv, run);
 }

@@ -37,7 +37,7 @@ struct MobileClient {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int example_main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const auto ticks = sim::Tick(flags.get_int("ticks", 150));
   const auto client_count = std::size_t(flags.get_int("clients", 80));
@@ -160,4 +160,8 @@ int main(int argc, char** argv) {
                "the on-demand policy spends its budget closing exactly that "
                "gap.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mobi::util::guarded_main(argc, argv, example_main);
 }

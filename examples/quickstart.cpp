@@ -15,7 +15,7 @@
 #include "workload/access.hpp"
 #include "workload/updates.hpp"
 
-int main(int argc, char** argv) {
+static int example_main(int argc, char** argv) {
   using namespace mobi;
   const util::Flags flags(argc, argv);
   const auto ticks = sim::Tick(flags.get_int("ticks", 20));
@@ -68,4 +68,8 @@ int main(int argc, char** argv) {
             << "downlink utilization: " << station.downlink().utilization()
             << "\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mobi::util::guarded_main(argc, argv, example_main);
 }

@@ -82,7 +82,7 @@ std::vector<TierScore> run(const object::Catalog& catalog,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int example_main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const auto ticks = sim::Tick(flags.get_int("ticks", 120));
   util::Rng rng(std::uint64_t(flags.get_int("seed", 42)));
@@ -124,4 +124,8 @@ int main(int argc, char** argv) {
                "targets are strict and copies are stale; round-robin "
                "refresh ignores both, so strict tiers suffer most.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mobi::util::guarded_main(argc, argv, example_main);
 }

@@ -98,7 +98,7 @@ ProxyOutcome run_proxy(const object::Catalog& catalog,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int example_main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const auto ticks = sim::Tick(flags.get_int("ticks", 200));
   const auto cache_units = object::Units(flags.get_int("cache-units", 300));
@@ -132,4 +132,8 @@ int main(int argc, char** argv) {
                "recency-profit policy uses both popularity and staleness, "
                "as suggested in the paper's future work.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mobi::util::guarded_main(argc, argv, example_main);
 }

@@ -8,7 +8,6 @@
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
-#include "obs/trace.hpp"
 
 namespace mobi::core {
 
@@ -113,7 +112,6 @@ TickResult BaseStation::process_batch(const workload::RequestBatch& batch,
   // already promised outranks new speculation. In-place compaction keeps
   // the surviving entries in insertion order without allocating.
   if (!retry_queue_.empty()) {
-    obs::ScopedTrace span(trace_, "bs.retry", now);
     obs::ScopedPhase phase(profiler_, phase_ids_.retry);
     std::size_t keep = 0;
     for (std::size_t i = 0; i < retry_queue_.size(); ++i) {
@@ -178,7 +176,6 @@ TickResult BaseStation::process_batch(const workload::RequestBatch& batch,
   ctx.now = now;
   ctx.budget = budget_left;
   {
-    obs::ScopedTrace span(trace_, "bs.select", now);
     obs::ScopedPhase phase(profiler_, phase_ids_.select);
     phase.add_cost(batch.size());
     if (metrics_) {
@@ -200,7 +197,6 @@ TickResult BaseStation::process_batch(const workload::RequestBatch& batch,
   // recorded above share the same batch, so one congestion draw covers
   // the whole tick's traffic.
   {
-    obs::ScopedTrace span(trace_, "bs.fetch", now);
     obs::ScopedPhase phase(profiler_, phase_ids_.fetch);
     phase.add_cost(to_fetch_.size());
     for (object::ObjectId id : to_fetch_) {
@@ -284,7 +280,6 @@ TickResult BaseStation::process_batch(const workload::RequestBatch& batch,
   // a fresh tick is one counter bump instead of an O(catalog) clear
   // (the bump happened at the top of this function).
   {
-    obs::ScopedTrace span(trace_, "bs.serve", now);
     obs::ScopedPhase phase(profiler_, phase_ids_.serve);
     phase.add_cost(batch.size());
     for (const workload::Request& request : batch) {
@@ -366,7 +361,6 @@ void BaseStation::set_metrics(obs::MetricsRegistry* registry,
   inst_ = {};
   cache_.set_metrics(registry, prefix + ".cache");
   downlink_.set_metrics(registry, prefix + ".downlink");
-  policy_->set_metrics(registry, prefix);  // e.g. bs.knapsack.parallel.*
   if (!registry) return;
   inst_.requests = &registry->register_counter(prefix + ".requests");
   inst_.hits = &registry->register_counter(prefix + ".hits");

@@ -31,7 +31,6 @@ class MetricsRegistry;
 class Counter;
 class Gauge;
 class FixedHistogram;
-class TraceSink;
 class RequestTracer;
 class PhaseProfiler;
 }  // namespace mobi::obs
@@ -168,10 +167,6 @@ class BaseStation {
   /// into simulation state.
   void set_metrics(obs::MetricsRegistry* registry,
                    const std::string& prefix = "bs");
-
-  /// Attaches scoped tracing of the per-tick phases (select/fetch/serve);
-  /// nullptr (the default) disables it.
-  void set_trace(obs::TraceSink* sink) noexcept { trace_ = sink; }
 
   /// Attaches sim-time request-lifecycle tracing: arrival/hit/degraded/
   /// delivery events in the serve loop, fetch/retry events on the fetch
@@ -315,7 +310,6 @@ class BaseStation {
     obs::FixedHistogram* fetch_latency = nullptr;
   };
   obs::MetricsRegistry* metrics_ = nullptr;
-  obs::TraceSink* trace_ = nullptr;
   obs::RequestTracer* tracer_ = nullptr;
   Instruments inst_;
 

@@ -1,7 +1,6 @@
 #include "core/knapsack.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -23,8 +22,8 @@ void validate_items(std::span<const KnapsackItem> items) {
 }
 
 /// Density order shared by the greedy solver, the DP shortcut and the
-/// parallel branch-and-bound: profit density descending, then size
-/// ascending, then index ascending. The comparator must stay identical in
+/// bound reduction: profit density descending, then size ascending, then
+/// index ascending. The comparator must stay identical in
 /// all places — the shortcut's optimality argument assumes the greedy's
 /// exact order. Each density is computed once, as the sort key.
 void density_order(std::span<const KnapsackItem> items, KnapsackWorkspace& ws) {
@@ -225,8 +224,8 @@ std::span<const std::size_t> reduce_items(std::span<const KnapsackItem> items,
 }
 
 // ---------------------------------------------------------------------------
-// DP kernels. All three produce bit-identical value curves and decision
-// matrices; the word-parallel pair trades the scalar loop's early-exit
+// DP kernels. Both produce bit-identical value curves and decision
+// matrices; the AVX2 two-row kernel trades the scalar loop's early-exit
 // branch for straight-line lane math that vectorizes.
 // ---------------------------------------------------------------------------
 
@@ -259,28 +258,30 @@ void dp_kernel_scalar(std::span<const KnapsackItem> items, std::size_t cap,
   }
 }
 
-/// Two-row word-parallel kernel body. Instead of updating one row in
-/// place right-to-left (a loop-carried dependence plus an unpredictable
-/// store branch), each item reads `prev` and writes `curr`:
+#if MOBI_KNAPSACK_AVX2_DISPATCH
+/// Two-row word-parallel kernel, compiled for AVX2 (4 double lanes per
+/// op). Instead of updating one row in place right-to-left (a
+/// loop-carried dependence plus an unpredictable store branch), each item
+/// reads `prev` and writes `curr`:
 ///
 ///   curr[c] = max(prev[c], prev[c - size] + profit)      (c >= size)
 ///   curr[c] = prev[c]                                    (c <  size)
 ///
 /// which is the same recurrence, so values are bit-identical — and the
 /// max form is branch-free, letting the compiler turn the value pass into
-/// packed-double maxpd lanes. The decision bit is `curr[c] > prev[c]`
-/// (taking strictly improved), packed 64 columns per word so each output
-/// word of the flat bit-matrix is produced by one lane-comparison sweep.
-/// `curr > prev` equals the scalar kernel's `candidate > values[c]` test:
-/// curr is either prev (bit 0) or a strictly greater candidate (bit 1).
+/// packed-double maxpd lanes. Only additions and max/compare on
+/// non-negative finite doubles: no FMA contraction is possible, so the
+/// lanes compute the exact same IEEE results. The decision bit is
+/// `curr[c] > prev[c]` (taking strictly improved), packed 64 columns per
+/// word so each output word of the flat bit-matrix is produced by one
+/// lane-comparison sweep. `curr > prev` equals the scalar kernel's
+/// `candidate > values[c]` test: curr is either prev (bit 0) or a
+/// strictly greater candidate (bit 1).
 ///
 /// Buffer parity: the caller pre-swaps so that after one swap per
 /// *effective* item (size <= cap; skipped rows advance `row` but not the
 /// buffers) the final curve lands in ws.values_ without a copy.
-///
-/// Marked always_inline so the AVX2-targeted wrapper below absorbs the
-/// body and recompiles it with 256-bit lanes.
-__attribute__((always_inline)) inline void dp_kernel_two_row_body(
+__attribute__((target("avx2"))) void dp_kernel_two_row_avx2(
     std::span<const KnapsackItem> items, std::size_t cap, double* a, double* b,
     std::uint64_t* bits, std::size_t row_words) {
   std::uint64_t* row = bits;
@@ -308,65 +309,15 @@ __attribute__((always_inline)) inline void dp_kernel_two_row_body(
     std::swap(a, b);
   }
 }
-
-void dp_kernel_two_row(std::span<const KnapsackItem> items, std::size_t cap,
-                       double* a, double* b, std::uint64_t* bits,
-                       std::size_t row_words) {
-  dp_kernel_two_row_body(items, cap, a, b, bits, row_words);
-}
-
-#if MOBI_KNAPSACK_AVX2_DISPATCH
-/// Same body, recompiled for AVX2 (4 double lanes per op). Only additions
-/// and max/compare on non-negative finite doubles — no FMA contraction is
-/// possible, so the lanes compute the exact same IEEE results.
-__attribute__((target("avx2"))) void dp_kernel_two_row_avx2(
-    std::span<const KnapsackItem> items, std::size_t cap, double* a, double* b,
-    std::uint64_t* bits, std::size_t row_words) {
-  dp_kernel_two_row_body(items, cap, a, b, bits, row_words);
-}
 #endif
-
-DpKernel detect_best_kernel() noexcept {
-#if MOBI_KNAPSACK_AVX2_DISPATCH
-  if (__builtin_cpu_supports("avx2")) return DpKernel::kWordParallelAvx2;
-#endif
-  return DpKernel::kWordParallel;
-}
-
-std::atomic<DpKernel>& dp_kernel_slot() {
-  static std::atomic<DpKernel> slot{detect_best_kernel()};
-  return slot;
-}
 
 }  // namespace
 
-bool dp_kernel_supported(DpKernel kernel) noexcept {
-  switch (kernel) {
-    case DpKernel::kAuto:
-    case DpKernel::kScalar:
-    case DpKernel::kWordParallel:
-      return true;
-    case DpKernel::kWordParallelAvx2:
+DpKernel best_dp_kernel() noexcept {
 #if MOBI_KNAPSACK_AVX2_DISPATCH
-      return __builtin_cpu_supports("avx2") != 0;
-#else
-      return false;
+  if (__builtin_cpu_supports("avx2")) return DpKernel::kTwoRowAvx2;
 #endif
-  }
-  return false;
-}
-
-void set_dp_kernel(DpKernel kernel) {
-  if (!dp_kernel_supported(kernel)) {
-    throw std::invalid_argument("set_dp_kernel: kernel not supported here");
-  }
-  dp_kernel_slot().store(
-      kernel == DpKernel::kAuto ? detect_best_kernel() : kernel,
-      std::memory_order_relaxed);
-}
-
-DpKernel active_dp_kernel() noexcept {
-  return dp_kernel_slot().load(std::memory_order_relaxed);
+  return DpKernel::kScalar;
 }
 
 void dp_fill(std::span<const KnapsackItem> items, std::size_t cap,
@@ -379,30 +330,25 @@ void dp_fill(std::span<const KnapsackItem> items, std::size_t cap,
   values.resize(cap + 1);
   bits.resize(n * row_words);
   std::fill(bits.begin(), bits.end(), 0);
-  if (kernel == DpKernel::kAuto) kernel = active_dp_kernel();
-  if (kernel == DpKernel::kScalar) {
-    std::fill(values.begin(), values.end(), 0.0);
-    dp_kernel_scalar(items, cap, values.data(), bits.data(), row_words);
-    return;
-  }
-  std::vector<double>& prev = WorkspaceAccess::values_prev(ws);
-  prev.resize(cap + 1);
-  double* a = values.data();
-  double* b = prev.data();
-  std::size_t effective = 0;
-  for (const KnapsackItem& item : items) {
-    if (std::size_t(item.size) <= cap) ++effective;
-  }
-  // One buffer swap per effective item: start so the result ends in a.
-  if (effective & 1) std::swap(a, b);
-  std::fill(a, a + cap + 1, 0.0);
 #if MOBI_KNAPSACK_AVX2_DISPATCH
-  if (kernel == DpKernel::kWordParallelAvx2) {
+  if (kernel == DpKernel::kTwoRowAvx2) {
+    std::vector<double>& prev = WorkspaceAccess::values_prev(ws);
+    prev.resize(cap + 1);
+    double* a = values.data();
+    double* b = prev.data();
+    std::size_t effective = 0;
+    for (const KnapsackItem& item : items) {
+      if (std::size_t(item.size) <= cap) ++effective;
+    }
+    // One buffer swap per effective item: start so the result ends in a.
+    if (effective & 1) std::swap(a, b);
+    std::fill(a, a + cap + 1, 0.0);
     dp_kernel_two_row_avx2(items, cap, a, b, bits.data(), row_words);
     return;
   }
 #endif
-  dp_kernel_two_row(items, cap, a, b, bits.data(), row_words);
+  std::fill(values.begin(), values.end(), 0.0);
+  dp_kernel_scalar(items, cap, values.data(), bits.data(), row_words);
 }
 
 }  // namespace detail
@@ -440,7 +386,7 @@ void KnapsackProfile::build(std::span<const KnapsackItem> items,
   ws_->item_sizes_.resize(n);
   for (std::size_t i = 0; i < n; ++i) ws_->item_sizes_[i] = items[i].size;
 
-  // Row-by-row DP through the pluggable kernel (detail::DpKernel); strict
+  // Row-by-row DP through the best kernel (detail::DpKernel); strict
   // improvement keeps solutions minimal (zero-profit items never taken).
   // The decision matrix is a single flat allocation; each item touches
   // only its own contiguous row — prefetch-friendly, no pointer chasing.

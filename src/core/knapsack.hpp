@@ -78,7 +78,7 @@ class KnapsackWorkspace {
                           double, KnapsackWorkspace&, KnapsackSolution&);
 
   std::vector<double> values_;          // profile value curve
-  std::vector<double> values_prev_;     // word-parallel kernel's second row
+  std::vector<double> values_prev_;     // two-row kernel's second row
   std::vector<std::uint64_t> take_bits_;  // profile / FPTAS decision bits
   std::vector<object::Units> item_sizes_;
   std::vector<std::size_t> order_;      // density order (greedy, shortcuts)
@@ -92,9 +92,8 @@ class KnapsackWorkspace {
   std::vector<KnapsackItem> kept_items_;  // reduction: surviving items
 };
 
-/// Internal building blocks shared by the serial solvers, the parallel
-/// engine (knapsack_parallel.hpp), and the differential tests. Not a
-/// stable API for simulation code.
+/// Internal building blocks shared by the solvers and the differential
+/// tests. Not a stable API for simulation code.
 namespace detail {
 
 /// Throws std::invalid_argument unless every size is > 0 and every profit
@@ -102,8 +101,8 @@ namespace detail {
 void validate_items(std::span<const KnapsackItem> items);
 
 /// Density order shared by the greedy solver, the DP shortcuts and the
-/// parallel branch-and-bound: profit density descending, then size
-/// ascending, then index ascending. The comparator must stay identical in
+/// bound reduction: profit density descending, then size ascending, then
+/// index ascending. The comparator must stay identical in
 /// all places — the shortcut's optimality argument assumes it. Writes
 /// the order into the workspace (WorkspaceAccess::order); each density is
 /// computed once, as the sort key.
@@ -136,39 +135,30 @@ std::span<const std::size_t> reduce_items(std::span<const KnapsackItem> items,
                                           KnapsackWorkspace& ws);
 
 /// Inner DP kernel used to fill the profile's value curve + decision
-/// bit-matrix. All kernels are bit-identical (locked by the differential
-/// suite in tests/knapsack_parallel_test.cpp):
-///  * kScalar       — the classic in-place descending-capacity loop.
-///  * kWordParallel — two-row forward kernel: a branch-free value pass the
-///    compiler auto-vectorizes, then a word-parallel repack that emits 64
-///    decision bits per output word from a lane-comparison sweep.
-///  * kWordParallelAvx2 — the same kernel body compiled for AVX2 via
-///    function multiversioning; selected at runtime when the CPU supports
-///    it (x86-64 builds only).
-/// kAuto resolves to the best supported kernel.
-enum class DpKernel { kAuto, kScalar, kWordParallel, kWordParallelAvx2 };
+/// bit-matrix. Both kernels are bit-identical (locked by the kernel
+/// differential in tests/knapsack_diff_test.cpp):
+///  * kScalar — the classic in-place descending-capacity loop: the
+///    portable path and the tests' oracle.
+///  * kTwoRowAvx2 — two-row forward kernel compiled for AVX2: a
+///    branch-free value pass in 4-double lanes, then a word-parallel
+///    repack that emits 64 decision bits per output word from a
+///    lane-comparison sweep (x86-64 builds on AVX2 CPUs only).
+enum class DpKernel { kScalar, kTwoRowAvx2 };
 
-/// Whether this build/CPU can execute the given kernel.
-bool dp_kernel_supported(DpKernel kernel) noexcept;
-
-/// Overrides the process-wide kernel (kAuto restores the default). Throws
-/// std::invalid_argument for an unsupported kernel. Intended for tests and
-/// benches; safe to call concurrently with solves (atomic, each dp_fill
-/// reads it once).
-void set_dp_kernel(DpKernel kernel);
-
-/// The kernel kAuto currently resolves to (never kAuto itself).
-DpKernel active_dp_kernel() noexcept;
+/// kTwoRowAvx2 when this build targets x86-64 and the CPU has AVX2,
+/// otherwise kScalar.
+DpKernel best_dp_kernel() noexcept;
 
 /// Resizes ws.values_ / ws.take_bits_ (and ws.values_prev_ for the
-/// two-row kernels) and fills the optimal value curve for capacities
+/// two-row kernel) and fills the optimal value curve for capacities
 /// 0..cap plus the flat take-bit matrix (`row_words` words per item row).
-/// Grow-only resizes: allocation-free once the workspace is warm.
+/// Grow-only resizes: allocation-free once the workspace is warm. Pass
+/// kTwoRowAvx2 only where best_dp_kernel() returns it.
 void dp_fill(std::span<const KnapsackItem> items, std::size_t cap,
              KnapsackWorkspace& ws, std::size_t row_words,
-             DpKernel kernel = DpKernel::kAuto);
+             DpKernel kernel = best_dp_kernel());
 
-/// Test/engine access to the private workspace buffers.
+/// Test access to the private workspace buffers.
 struct WorkspaceAccess {
   static std::vector<double>& values(KnapsackWorkspace& ws) {
     return ws.values_;
@@ -178,9 +168,6 @@ struct WorkspaceAccess {
   }
   static std::vector<std::uint64_t>& take_bits(KnapsackWorkspace& ws) {
     return ws.take_bits_;
-  }
-  static std::vector<object::Units>& item_sizes(KnapsackWorkspace& ws) {
-    return ws.item_sizes_;
   }
   static std::vector<std::size_t>& order(KnapsackWorkspace& ws) {
     return ws.order_;
@@ -256,9 +243,7 @@ class KnapsackProfile {
 /// from the top and takes an item only when doing so is strictly
 /// better, which greedily clears the highest differing bit.) Zero-profit
 /// items are never taken. The workspace overload's shortcuts and bound
-/// reduction preserve this subset exactly. Every solver that promises
-/// solve_dp-identical selections — the parallel engine in
-/// knapsack_parallel.hpp — targets exactly this subset.
+/// reduction preserve this subset exactly.
 KnapsackSolution solve_dp(std::span<const KnapsackItem> items,
                           object::Units capacity);
 

@@ -1,6 +1,7 @@
 #include "util/flags.hpp"
 
 #include <algorithm>
+#include <iostream>
 #include <stdexcept>
 
 namespace mobi::util {
@@ -77,6 +78,17 @@ bool Flags::get_bool(const std::string& name, bool fallback) const {
   }
   throw std::invalid_argument("flag --" + name + " expects a boolean, got '" +
                               *value + "'");
+}
+
+int guarded_main(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const std::invalid_argument& error) {
+    std::string name = argc > 0 ? argv[0] : "mobicache";
+    name.erase(0, name.find_last_of('/') + 1);
+    std::cerr << name << ": " << error.what() << '\n';
+    return 2;
+  }
 }
 
 }  // namespace mobi::util

@@ -1,5 +1,6 @@
 // A minimal command-line flag parser for the bench/example binaries.
 // Accepts --name=value and --name value; everything else is a positional.
+// guarded_main turns a bad flag value into a one-line message and exit 2.
 #pragma once
 
 #include <cstdint>
@@ -33,5 +34,11 @@ class Flags {
   std::map<std::string, std::string> values_;
   std::vector<std::string> positionals_;
 };
+
+/// Runs a binary's `main` body. A bad flag or flag value (any
+/// std::invalid_argument escaping `body`) prints "<name>: <message>" on
+/// stderr and returns 2 — the metrics_diff/metrics_query usage-error code —
+/// instead of aborting on an uncaught exception.
+int guarded_main(int argc, char** argv, int (*body)(int, char**));
 
 }  // namespace mobi::util

@@ -192,22 +192,6 @@ TEST(AllocRegression, GreedyPolicySteadyStateIsAllocationFree) {
   run_steady_state("on-demand-knapsack-greedy", false);
 }
 
-TEST(AllocRegression, ParallelBnbPolicySteadyStateIsAllocationFree) {
-  // The parallel engine parks persistent workers at construction (the one
-  // ThreadPool::submit per thread happens there); solves only touch
-  // grow-only scratch, per-slot deques and condition variables, so the
-  // steady state stays allocation-free even with the B&B path engaged on
-  // every batch (~60-90 distinct candidates, well past the serial cutoff).
-  run_steady_state("on-demand-knapsack-bnb:2", false);
-}
-
-TEST(AllocRegression, ParallelBnbPolicyFaultySteadyStateIsAllocationFree) {
-  sim::FaultPlan plan;
-  plan.fetch_failure_rate = 0.2;
-  plan.downlink_drop_rate = 0.1;
-  run_steady_state("on-demand-knapsack-bnb:2", false, &plan, 3);
-}
-
 TEST(AllocRegression, IdleInjectorSteadyStateIsAllocationFree) {
   // An attached injector with an empty plan must be indistinguishable
   // from no injector on the allocation axis too.

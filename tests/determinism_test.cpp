@@ -1,6 +1,6 @@
 // Determinism suite: (a) parallel replication is bit-identical to serial
 // replication regardless of pool size, and (b) attaching the observability
-// layer (registry + recorder + trace sink) never perturbs simulation
+// layer (registry + recorder + phase profiler) never perturbs simulation
 // results. These tests pin the "observation is read-only" contract.
 #include <gtest/gtest.h>
 
@@ -16,8 +16,8 @@
 #include "exp/replicate.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profiler.hpp"
 #include "obs/recorder.hpp"
-#include "obs/trace.hpp"
 #include "util/thread_pool.hpp"
 
 namespace mobi {
@@ -127,7 +127,7 @@ TEST(Determinism, InstrumentedFig2AndFig3BitIdenticalToPlain) {
 }
 
 // Drives two identically-configured BaseStations through the same request
-// stream — one bare, one with registry + recorder + trace sink attached —
+// stream — one bare, one with registry + recorder + profiler attached —
 // and requires every TickResult field to match exactly. Fetch failures are
 // enabled so the failure RNG consumption is covered too.
 TEST(Determinism, InstrumentedBaseStationBitIdenticalToBare) {
@@ -149,10 +149,10 @@ TEST(Determinism, InstrumentedBaseStationBitIdenticalToBare) {
 
   obs::MetricsRegistry registry;
   obs::SeriesRecorder recorder(registry);
-  obs::TraceSink sink;
+  obs::PhaseProfiler profiler;
   instrumented.set_metrics(&registry);
   servers_b.set_metrics(&registry);
-  instrumented.set_trace(&sink);
+  instrumented.set_profiler(&profiler);
 
   std::mt19937 rng(0xC0FFEE);
   std::size_t expected_requests = 0;
@@ -198,10 +198,10 @@ TEST(Determinism, InstrumentedBaseStationBitIdenticalToBare) {
                 registry.find_counter("bs.fresh_serves")->value(),
             hits);
   EXPECT_EQ(recorder.samples(), 40u);
-  // Tracing captured all three per-tick phases.
-  EXPECT_EQ(sink.summary("bs.select").count(), 40u);
-  EXPECT_EQ(sink.summary("bs.serve").count(), 40u);
-  EXPECT_GT(sink.summary("bs.fetch").count(), 0u);
+  // The profiler captured all three per-tick phases.
+  EXPECT_EQ(profiler.calls(profiler.phase("bs.select")), 40u);
+  EXPECT_EQ(profiler.calls(profiler.phase("bs.serve")), 40u);
+  EXPECT_GT(profiler.calls(profiler.phase("bs.fetch")), 0u);
 }
 
 void expect_identical(const client::CellResult& a,
@@ -262,31 +262,6 @@ TEST(Determinism, TracedPolicySimBitIdenticalToUntraced) {
 
   // Both-null routes through the same overload and must also match.
   expect_identical(plain, exp::run_policy_sim(config, nullptr, nullptr));
-}
-
-// The parallel B&B knapsack engine promises *selection identity* with the
-// serial exact DP — so an end-to-end policy sim (with live faults and
-// retries consuming RNG state) must produce bit-identical results whether
-// the policy solves serially or on a 1/2/8-thread engine. Any divergence
-// in a single tick's selection would cascade through cache state and show
-// up in these totals.
-TEST(Determinism, ParallelBnbPolicySimBitIdenticalToSerialDp) {
-  exp::PolicySimConfig config = small_sim_config();
-  config.server_count = 2;
-  config.fetch_retry_limit = 2;
-  config.faults.fetch_failure_rate = 0.25;
-  config.faults.downlink_drop_rate = 0.1;
-  config.faults.server_outage_rate = 0.05;
-  config.faults.server_outage_ticks = 3;
-
-  config.policy = "on-demand-knapsack";
-  const exp::PolicySimResult serial = exp::run_policy_sim(config);
-
-  for (std::size_t threads : {1u, 2u, 8u}) {
-    SCOPED_TRACE("bnb threads " + std::to_string(threads));
-    config.policy = "on-demand-knapsack-bnb:" + std::to_string(threads);
-    expect_identical(serial, exp::run_policy_sim(config));
-  }
 }
 
 // Per-shard tracers merge into mc.lat.* / mc.trace.* after the join, in

@@ -11,6 +11,10 @@
 // fuzzed against the unreduced KnapsackProfile on generated instance
 // families, including real-valued profits whose rounded sums tie or
 // differ by one ulp, and unit-tested directly.
+//
+// The best DP kernel (AVX2 where the CPU has it) is checked against the
+// scalar loop on the raw value curve and take bits, and four canonical
+// subsets are pinned by value.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -465,6 +469,148 @@ TEST(KnapsackReduction, StationLikeInstanceKeepsUnderHalf) {
   EXPECT_EQ(bits_of(reduced.value), bits_of(expected.value));
   EXPECT_EQ(reduced.used, expected.used);
   EXPECT_EQ(reduced.chosen, expected.chosen);
+}
+
+// ---------------------------------------------------------------------------
+// DP kernels
+// ---------------------------------------------------------------------------
+
+struct KernelFill {
+  std::vector<double> values;
+  std::vector<std::uint64_t> bits;
+};
+
+// Runs one kernel and copies out its raw value curve and take-bit matrix.
+KernelFill fill_with(const std::vector<KnapsackItem>& items, std::size_t cap,
+                     detail::DpKernel kernel) {
+  KnapsackWorkspace ws;
+  detail::dp_fill(items, cap, ws, (cap + 64) / 64, kernel);
+  return {detail::WorkspaceAccess::values(ws),
+          detail::WorkspaceAccess::take_bits(ws)};
+}
+
+// The best kernel on this build (the AVX2 two-row kernel where the CPU
+// has it) must reproduce the scalar loop's value curve and decision
+// bit-matrix word for word. Without AVX2 both sides run the scalar loop,
+// which still pins it as deterministic.
+void expect_kernels_match(const std::vector<KnapsackItem>& items,
+                          std::size_t cap, const std::string& what) {
+  using detail::DpKernel;
+  const KernelFill scalar = fill_with(items, cap, DpKernel::kScalar);
+  const KernelFill best = fill_with(items, cap, detail::best_dp_kernel());
+  ASSERT_EQ(scalar.values.size(), cap + 1) << what;
+  ASSERT_EQ(best.values.size(), cap + 1) << what;
+  for (std::size_t c = 0; c <= cap; ++c) {
+    ASSERT_EQ(bits_of(best.values[c]), bits_of(scalar.values[c]))
+        << what << " cap " << c;
+  }
+  EXPECT_EQ(best.bits, scalar.bits) << what;
+}
+
+// Random instances (zero-profit items, items larger than the capacity)
+// at random capacities 0..150. The suite name covers the data-parallel
+// DP kernels.
+TEST(KnapsackParallel, DpKernelsBitIdentical) {
+  util::Rng rng(1337);
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::size_t n = std::size_t(rng.uniform_int(0, 40));
+    const auto items = random_items(rng, n, 9);
+    const auto cap = std::size_t(rng.uniform_int(0, 150));
+    expect_kernels_match(items, cap, "random #" + std::to_string(trial));
+  }
+}
+
+// Capacities 63/64/65 (plus 127/128) cross the packed decision-row word
+// edges: the kernels must agree on the raw buffers, and solve_dp (bound
+// reduction included) must return the unreduced profile's subset.
+TEST(KnapsackParallel, WordBoundaryCapacities) {
+  util::Rng rng(424242);
+  KnapsackWorkspace ws;
+  KnapsackSolution got;
+  for (int trial = 0; trial < 6; ++trial) {
+    const auto items = random_items(rng, 24, 6);
+    for (object::Units cap : {63, 64, 65, 127, 128}) {
+      const std::string what =
+          "trial " + std::to_string(trial) + " cap " + std::to_string(cap);
+      expect_kernels_match(items, std::size_t(cap), what);
+      solve_dp(items, cap, ws, got);
+      const KnapsackSolution want = KnapsackProfile(items, cap).solution_at(cap);
+      EXPECT_EQ(got.chosen, want.chosen) << what;
+      EXPECT_EQ(got.value, want.value) << what;
+      EXPECT_EQ(got.used, want.used) << what;
+    }
+  }
+}
+
+// Every generated family, real-valued profits included, through the
+// AVX2 kernel itself.
+TEST(KnapsackDpKernel, Avx2MatchesScalarBitForBit) {
+  if (detail::best_dp_kernel() != detail::DpKernel::kTwoRowAvx2) {
+    GTEST_SKIP() << "no AVX2 on this build or CPU; only the scalar kernel runs";
+  }
+  util::Rng rng(1337);
+  for (const Family& family : families()) {
+    for (int instance = 0; instance < family.instances; ++instance) {
+      expect_kernels_match(family.generate(rng),
+                           std::size_t(family.max_capacity),
+                           family.name + " #" + std::to_string(instance));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Canonical subsets, pinned: a change to the shortcuts, the reduction or
+// the kernels must not silently reorder selections. Each case is checked
+// through solve_dp and through the unreduced KnapsackProfile.
+// ---------------------------------------------------------------------------
+
+void expect_pinned(const std::vector<KnapsackItem>& items, object::Units cap,
+                   double value, object::Units used,
+                   const std::vector<std::size_t>& chosen) {
+  const KnapsackSolution dp = solve_dp(items, cap);
+  EXPECT_EQ(dp.value, value);
+  EXPECT_EQ(dp.used, used);
+  EXPECT_EQ(dp.chosen, chosen);
+  const KnapsackSolution profile = KnapsackProfile(items, cap).solution_at(cap);
+  EXPECT_EQ(profile.value, value);
+  EXPECT_EQ(profile.used, used);
+  EXPECT_EQ(profile.chosen, chosen);
+}
+
+// Every subset of equal-density items ties the LP bound. Exact fill is
+// achievable, so the optimum is density * cap, and the canonical subset
+// is the mask-minimal one.
+TEST(KnapsackCanonical, AllEqualDensities) {
+  std::vector<KnapsackItem> items;
+  for (int i = 0; i < 20; ++i) {
+    items.push_back({object::Units(i + 1), 0.5 * double(i + 1)});
+  }
+  expect_pinned(items, 50, 25.0, 50, {0, 1, 2, 3, 5, 6, 7, 8, 9});
+}
+
+// One item fills the knapsack alone against many small denser items;
+// the giant must lose to the denser pile (12 * 3.0 beats 30.0).
+TEST(KnapsackCanonical, OneGiantItem) {
+  std::vector<KnapsackItem> items{{40, 30.0}};
+  for (int i = 0; i < 12; ++i) items.push_back({3, 3.0});
+  expect_pinned(items, 40, 36.0, 36,
+                {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12});
+}
+
+// Duplicate (size, profit) pairs force pure index tie-breaks: only one of
+// the clones fits, and the canonical answer is the lowest-index clone.
+TEST(KnapsackCanonical, DuplicateProfitsTieBreak) {
+  const std::vector<KnapsackItem> items{
+      {5, 7.5}, {5, 7.5}, {5, 7.5}, {5, 7.5}, {2, 1.0}};
+  expect_pinned(items, 7, 8.5, 7, {0, 4});
+}
+
+// Capacity above the total weight: every positive-profit item, and no
+// zero-profit one.
+TEST(KnapsackCanonical, CapLargerThanTotalWeight) {
+  const std::vector<KnapsackItem> items{
+      {4, 2.0}, {3, 0.0}, {5, 9.5}, {2, 1.5}, {6, 0.0}};
+  expect_pinned(items, 100, 13.0, 11, {0, 2, 3});
 }
 
 }  // namespace

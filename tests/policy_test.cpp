@@ -222,7 +222,11 @@ TEST(PolicyFactory, KnowsEveryName) {
         "cache-only"}) {
     EXPECT_NE(make_policy(name), nullptr) << name;
   }
-  EXPECT_THROW(make_policy("nope"), std::invalid_argument);
+  // The deleted parallel branch-and-bound variant's name is now as unknown
+  // as any other.
+  for (const char* name : {"nope", "on-demand-knapsack" "-bnb"}) {
+    EXPECT_THROW(make_policy(name), std::invalid_argument) << name;
+  }
 }
 
 }  // namespace
