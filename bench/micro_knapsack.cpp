@@ -94,9 +94,9 @@ void BM_KnapsackBranchAndBound(benchmark::State& state) {
 }
 BENCHMARK(BM_KnapsackBranchAndBound)->Range(32, 256);
 
-// The 512-item DP fill (every item, no shortcut or reduction) on one
-// kernel: arg 0 = scalar loop, 1 = AVX2 two-row (skipped where the host
-// or toolchain lacks AVX2).
+// The 512-item DP fill (every item and column: no shortcut, reduction or
+// traceback window) on one kernel: arg 0 = scalar loop, 1 = AVX2 two-row
+// (skipped where the host or toolchain lacks AVX2).
 void BM_KnapsackDpKernel(benchmark::State& state) {
   using mobi::core::detail::DpKernel;
   const auto kernel = DpKernel(state.range(0));
@@ -110,7 +110,7 @@ void BM_KnapsackDpKernel(benchmark::State& state) {
   mobi::core::KnapsackWorkspace ws;
   for (auto _ : state) {
     mobi::core::detail::dp_fill(items, capacity, ws, (capacity + 64) / 64,
-                                kernel);
+                                0, kernel);
     benchmark::ClobberMemory();
   }
 }
@@ -197,7 +197,7 @@ void run_hotpath(const mobi::util::Flags& flags) {
         continue;
       }
       const double ns = time_ns([&] {
-        core::detail::dp_fill(items512, cap512, kws, (cap512 + 64) / 64,
+        core::detail::dp_fill(items512, cap512, kws, (cap512 + 64) / 64, 0,
                               row.kernel);
       });
       if (row.kernel == DpKernel::kScalar) scalar_ns = ns;

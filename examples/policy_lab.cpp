@@ -14,10 +14,15 @@
 //   --budget=N           [100]    negative = unlimited
 //   --updates=N          [5]      server update period in ticks
 //   --warmup=N --ticks=N [50/200] --seed=N [42] --compare
+//
+// A malformed flag value, a negative count or an unknown name prints
+// "policy_lab: <message>" and exits 2, before any output.
 #include <cstdio>
-#include <iostream>
+#include <stdexcept>
 #include <string>
 
+#include "core/policy.hpp"
+#include "core/scoring.hpp"
 #include "exp/policy_sim.hpp"
 #include "util/flags.hpp"
 
@@ -25,12 +30,23 @@ namespace {
 
 using namespace mobi;
 
+// A size flag: a negative value would wrap to a huge std::size_t.
+std::size_t get_count(const util::Flags& flags, const std::string& name,
+                      std::int64_t fallback) {
+  const std::int64_t value = flags.get_int(name, fallback);
+  if (value < 0) {
+    throw std::invalid_argument("flag --" + name + " must be >= 0, got " +
+                                std::to_string(value));
+  }
+  return std::size_t(value);
+}
+
 exp::PolicySimConfig config_from_flags(const util::Flags& flags) {
   exp::PolicySimConfig config;
   config.policy = flags.get_string("policy", "on-demand-knapsack");
   config.scorer = flags.get_string("scorer", "reciprocal");
-  config.object_count = std::size_t(flags.get_int("objects", 200));
-  config.requests_per_tick = std::size_t(flags.get_int("requests", 50));
+  config.object_count = get_count(flags, "objects", 200);
+  config.requests_per_tick = get_count(flags, "requests", 50);
   config.budget = object::Units(flags.get_int("budget", 100));
   config.update_period = sim::Tick(flags.get_int("updates", 5));
   config.warmup_ticks = sim::Tick(flags.get_int("warmup", 50));
@@ -57,35 +73,40 @@ void print_row(const std::string& label, const exp::PolicySimResult& result) {
               result.score_p10);
 }
 
+int policy_lab_main(int argc, char** argv) {
+  const util::Flags flags(argc, argv);
+  // Every flag is read and every name checked before the header, so a
+  // usage error prints nothing but its message.
+  const exp::PolicySimConfig base = config_from_flags(flags);
+  const bool compare = flags.get_bool("compare", false);
+  if (!compare) core::make_policy(base.policy);
+  core::make_scorer(base.scorer);
+
+  std::printf("%-26s %9s %11s %12s %14s %9s %9s\n", "policy", "avg score",
+              "avg recency", "downloaded", "downlink util", "jain",
+              "p10 score");
+  if (!compare) {
+    print_row(base.policy, exp::run_policy_sim(base));
+    return 0;
+  }
+  for (const char* policy :
+       {"on-demand-knapsack", "on-demand-knapsack-greedy",
+        "on-demand-lowest-recency", "on-demand-latency-aware",
+        "adaptive-knapsack", "stale-while-revalidate", "async-round-robin",
+        "download-all", "cache-only"}) {
+    exp::PolicySimConfig config = base;
+    config.policy = policy;
+    if (config.policy == "download-all" ||
+        config.policy == "adaptive-knapsack") {
+      config.budget = -1;  // these choose or ignore their own bound
+    }
+    print_row(policy, exp::run_policy_sim(config));
+  }
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Flags flags(argc, argv);
-  try {
-    std::printf("%-26s %9s %11s %12s %14s %9s %9s\n", "policy", "avg score",
-                "avg recency", "downloaded", "downlink util", "jain",
-                "p10 score");
-    if (flags.get_bool("compare", false)) {
-      for (const char* policy :
-           {"on-demand-knapsack", "on-demand-knapsack-greedy",
-            "on-demand-lowest-recency", "on-demand-latency-aware",
-            "adaptive-knapsack", "stale-while-revalidate",
-            "async-round-robin", "download-all", "cache-only"}) {
-        auto config = config_from_flags(flags);
-        config.policy = policy;
-        if (config.policy == "download-all" ||
-            config.policy == "adaptive-knapsack") {
-          config.budget = -1;  // these choose or ignore their own bound
-        }
-        print_row(policy, exp::run_policy_sim(config));
-      }
-    } else {
-      const auto config = config_from_flags(flags);
-      print_row(config.policy, exp::run_policy_sim(config));
-    }
-  } catch (const std::exception& error) {
-    std::cerr << "policy_lab: " << error.what() << "\n";
-    return 1;
-  }
-  return 0;
+  return mobi::util::guarded_main(argc, argv, policy_lab_main);
 }

@@ -29,13 +29,21 @@ double score_quantile(std::span<const double> scores, double q) {
     throw std::invalid_argument("score_quantile: q outside [0, 1]");
   }
   if (scores.empty()) return 1.0;
-  std::vector<double> sorted(scores.begin(), scores.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double position = q * double(sorted.size() - 1);
+  // The two order statistics a full sort would put at lo and hi, in O(n):
+  // nth_element places the lo-th, and the hi-th (hi = lo + 1 when they
+  // differ) is the smallest of what it left above. Same doubles, same
+  // interpolation, so the result is bit-identical to sorting.
+  std::vector<double> partial(scores.begin(), scores.end());
+  const double position = q * double(partial.size() - 1);
   const auto lo = std::size_t(std::floor(position));
   const auto hi = std::size_t(std::ceil(position));
   const double frac = position - double(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  const auto nth = partial.begin() + std::ptrdiff_t(lo);
+  std::nth_element(partial.begin(), nth, partial.end());
+  const double at_lo = *nth;
+  const double at_hi =
+      hi == lo ? at_lo : *std::min_element(nth + 1, partial.end());
+  return at_lo * (1.0 - frac) + at_hi * frac;
 }
 
 }  // namespace mobi::core

@@ -19,8 +19,9 @@ double jain_index(std::span<const double> scores);
 /// Minimum score (1.0 for an empty set — vacuously fair).
 double min_score(std::span<const double> scores);
 
-/// The q-quantile (0 <= q <= 1) of the score distribution, by sorting;
-/// linear interpolation between order statistics.
+/// The q-quantile (0 <= q <= 1) of the score distribution: linear
+/// interpolation between the two neighbouring order statistics, selected
+/// in O(n) (bit-identical to interpolating in a fully sorted copy).
 double score_quantile(std::span<const double> scores, double q);
 
 }  // namespace mobi::core

@@ -25,23 +25,31 @@ void validate_items(std::span<const KnapsackItem> items) {
 /// bound reduction: profit density descending, then size ascending, then
 /// index ascending. The comparator must stay identical in
 /// all places — the shortcut's optimality argument assumes the greedy's
-/// exact order. Each density is computed once, as the sort key.
+/// exact order. Only positive-profit items are ordered: a zero-profit
+/// item has density 0 and so would sort after every positive one, where
+/// no reader looks. (Only a profit below the smallest normal double could
+/// round a positive item's density to 0 too; the exact solvers' answers
+/// do not depend on where such an item sorts.) The keys are packed, so
+/// the sort moves and compares contiguous records instead of chasing
+/// indices into the items.
 void density_order(std::span<const KnapsackItem> items, KnapsackWorkspace& ws) {
-  std::vector<std::size_t>& order = ws.order_;
-  std::vector<double>& density = ws.density_;
-  order.resize(items.size());
-  density.resize(items.size());
+  std::vector<DensityKey>& keys = ws.density_keys_;
+  keys.clear();
   for (std::size_t i = 0; i < items.size(); ++i) {
-    density[i] = items[i].profit / double(items[i].size);
+    if (items[i].profit > 0.0) {
+      keys.push_back(
+          {items[i].profit / double(items[i].size), items[i].size, i});
+    }
   }
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const double da = density[a];
-    const double db = density[b];
-    if (da != db) return da > db;
-    if (items[a].size != items[b].size) return items[a].size < items[b].size;
-    return a < b;
-  });
+  std::sort(keys.begin(), keys.end(),
+            [](const DensityKey& a, const DensityKey& b) {
+              if (a.density != b.density) return a.density > b.density;
+              if (a.size != b.size) return a.size < b.size;
+              return a.index < b.index;
+            });
+  std::vector<std::size_t>& order = ws.order_;
+  order.resize(keys.size());
+  for (std::size_t k = 0; k < keys.size(); ++k) order[k] = keys[k].index;
 }
 
 /// Shortcut 1: when every positive-profit item fits within the capacity
@@ -80,7 +88,8 @@ bool take_all_shortcut(std::span<const KnapsackItem> items,
 /// other feasible set swaps at least one whole unit of prefix for lower-
 /// density items (or drops it), so it is worse by at least the gap. The
 /// DP compares rounded sums, so the gap must also clear their rounding
-/// error — at most (n + 2) * 2^-53 of the prefix value each — and that of
+/// error — at most (n + 2) * 2^-53 of the prefix value each, n counting
+/// every item the DP rows add, zero-profit ones too — and that of
 /// the two densities; then every other set's rounded sum is strictly
 /// smaller too, and the DP must reconstruct this same set. Value is folded
 /// in ascending index order to match the DP's double.
@@ -94,8 +103,7 @@ bool greedy_prefix_shortcut(std::span<const KnapsackItem> items,
   std::size_t k = 0;
   for (; k < order.size(); ++k) {
     const KnapsackItem& item = items[order[k]];
-    if (item.profit <= 0.0) return false;  // positives ran out before fill
-    if (item.size > left) break;           // a skip: prefix ends short
+    if (item.size > left) break;  // a skip: prefix ends short
     left -= item.size;
     prefix_value += item.profit;
     if (left == 0) {
@@ -103,7 +111,8 @@ bool greedy_prefix_shortcut(std::span<const KnapsackItem> items,
       break;
     }
   }
-  if (left != 0) return false;  // not an exact fill
+  // Not an exact fill (or the positives ran out before it).
+  if (left != 0) return false;
   if (k == 0) {                 // capacity 0: the empty set is the optimum
     out.reset();
     return true;
@@ -111,15 +120,13 @@ bool greedy_prefix_shortcut(std::span<const KnapsackItem> items,
   if (k < order.size()) {
     const KnapsackItem& last = items[order[k - 1]];
     const KnapsackItem& next = items[order[k]];
-    if (next.profit > 0.0) {
-      const double dl = last.profit / double(last.size);
-      const double dn = next.profit / double(next.size);
-      const double rounding =
-          4.0 * double(order.size() + 2) * 0x1p-53 * prefix_value +
-          0x1p-51 * dl;
-      // A (near-)tie across the cut: not provably unique.
-      if (!(dl - dn > rounding)) return false;
-    }
+    const double dl = last.profit / double(last.size);
+    const double dn = next.profit / double(next.size);
+    const double rounding =
+        4.0 * double(items.size() + 2) * 0x1p-53 * prefix_value +
+        0x1p-51 * dl;
+    // A (near-)tie across the cut: not provably unique.
+    if (!(dl - dn > rounding)) return false;
   }
   out.reset();
   out.chosen.assign(order.begin(), order.begin() + std::ptrdiff_t(k));
@@ -161,19 +168,22 @@ bool greedy_prefix_shortcut(std::span<const KnapsackItem> items,
 std::span<const std::size_t> reduce_items(std::span<const KnapsackItem> items,
                                           object::Units capacity,
                                           KnapsackWorkspace& ws) {
+  // The rounding margin counts every item (each is a DP row); the sums
+  // run over the positive ones, all that the density order holds.
   const std::size_t n = items.size();
   const std::vector<std::size_t>& order = ws.order_;
+  const std::size_t m = order.size();
   // Density-order prefix sums up to the break item (the first that no
   // longer fits): LP(c) for c <= capacity never reads further.
   std::vector<double>& profit_sum = ws.prefix_profit_;
   std::vector<object::Units>& size_sum = ws.prefix_size_;
-  profit_sum.resize(n + 1);
-  size_sum.resize(n + 1);
+  profit_sum.resize(m + 1);
+  size_sum.resize(m + 1);
   profit_sum[0] = 0.0;
   size_sum[0] = 0;
   std::size_t brk = 0;
-  object::Units max_size = 0;  // largest item that fits
-  for (; brk < n; ++brk) {
+  object::Units max_size = 0;  // largest positive item that fits
+  for (; brk < m; ++brk) {
     const KnapsackItem& item = items[order[brk]];
     if (item.size > capacity - size_sum[brk]) break;
     profit_sum[brk + 1] = profit_sum[brk] + item.profit;
@@ -183,20 +193,21 @@ std::span<const std::size_t> reduce_items(std::span<const KnapsackItem> items,
   double lower = profit_sum[brk];
   double total = profit_sum[brk];
   object::Units left = capacity - size_sum[brk];
-  for (std::size_t k = brk; k < n; ++k) {
+  for (std::size_t k = brk; k < m; ++k) {
     const KnapsackItem& item = items[order[k]];
     total += item.profit;
     if (item.size <= capacity) max_size = std::max(max_size, item.size);
-    if (item.profit > 0.0 && item.size <= left) {
+    if (item.size <= left) {
       lower += item.profit;
       left -= item.size;
     }
   }
   const double cutoff = lower - 8.0 * double(n + 4) * 0x1p-53 * total;
 
-  // Dantzig bound LP(capacity - s) for every item size s: whole items
-  // while they fit, then a fraction of the next. The room only shrinks as
-  // s grows, so one backward walk over the prefix serves every size.
+  // Dantzig bound LP(capacity - s) for every positive item's size s: whole
+  // items while they fit, then a fraction of the next. The room only
+  // shrinks as s grows, so one backward walk over the prefix serves every
+  // size.
   std::vector<double>& lp = ws.lp_by_size_;
   lp.resize(std::size_t(max_size) + 1);
   std::size_t k = brk;
@@ -204,7 +215,7 @@ std::span<const std::size_t> reduce_items(std::span<const KnapsackItem> items,
     const object::Units room = capacity - size;
     while (size_sum[k] > room) --k;
     double bound = profit_sum[k];
-    if (k < n) {
+    if (k < m) {
       const KnapsackItem& next = items[order[k]];
       bound += next.profit * double(room - size_sum[k]) / double(next.size);
     }
@@ -237,23 +248,48 @@ std::span<const std::size_t> reduce_items(std::span<const KnapsackItem> items,
 
 namespace {
 
-/// The classic in-place descending-capacity row update. `values` must be
-/// zero-filled, `bits` zero-filled with `row_words` words per item row.
+/// Row windows of dp_fill: walks the rows in order and yields each one's
+/// first filled column, max(0, trace_from - R_i).
+class RowWindow {
+ public:
+  RowWindow(std::span<const KnapsackItem> items, std::size_t trace_from)
+      : trace_from_(trace_from) {
+    for (const KnapsackItem& item : items) after_ += std::size_t(item.size);
+  }
+  /// Call once per row, in order, with that row's size.
+  std::size_t next(std::size_t size) noexcept {
+    after_ -= size;
+    return trace_from_ > after_ ? trace_from_ - after_ : 0;
+  }
+
+ private:
+  std::size_t trace_from_;
+  std::size_t after_ = 0;  // total size of the rows not yet passed
+};
+
+/// The classic in-place descending-capacity row update over each row's
+/// window. `values` must be zero-filled, `bits` zero-filled with
+/// `row_words` words per item row. Below a window the in-place curve
+/// keeps an earlier row's values, which no later row reads.
 void dp_kernel_scalar(std::span<const KnapsackItem> items, std::size_t cap,
-                      double* values, std::uint64_t* bits,
-                      std::size_t row_words) {
+                      std::size_t trace_from, double* values,
+                      std::uint64_t* bits, std::size_t row_words) {
+  RowWindow window(items, trace_from);
   std::uint64_t* row = bits;
   for (std::size_t i = 0; i < items.size(); ++i, row += row_words) {
     const auto size = std::size_t(items[i].size);
     const double profit = items[i].profit;
+    const std::size_t lo = window.next(size);
     if (size > cap) continue;
-    for (std::size_t c = cap; c >= size; --c) {
+    // Columns [lo, size) keep the previous row's value in place.
+    const std::size_t first = std::max(size, lo);
+    for (std::size_t c = cap; c >= first; --c) {
       const double candidate = values[c - size] + profit;
       if (candidate > values[c]) {
         values[c] = candidate;
         row[c >> 6] |= std::uint64_t{1} << (c & 63);
       }
-      if (c == size) break;  // avoid size_t underflow
+      if (c == first) break;  // avoid size_t underflow
     }
   }
 }
@@ -281,29 +317,38 @@ void dp_kernel_scalar(std::span<const KnapsackItem> items, std::size_t cap,
 /// Buffer parity: the caller pre-swaps so that after one swap per
 /// *effective* item (size <= cap; skipped rows advance `row` but not the
 /// buffers) the final curve lands in ws.values_ without a copy.
+///
+/// Windows: each row computes only [lo, cap] (RowWindow) and packs only
+/// the words covering it, masking the lanes of the first word below lo,
+/// so its bits match the scalar kernel's; the words below stay zero.
 __attribute__((target("avx2"))) void dp_kernel_two_row_avx2(
-    std::span<const KnapsackItem> items, std::size_t cap, double* a, double* b,
-    std::uint64_t* bits, std::size_t row_words) {
+    std::span<const KnapsackItem> items, std::size_t cap,
+    std::size_t trace_from, double* a, double* b, std::uint64_t* bits,
+    std::size_t row_words) {
+  RowWindow window(items, trace_from);
   std::uint64_t* row = bits;
   for (std::size_t i = 0; i < items.size(); ++i, row += row_words) {
     const auto size = std::size_t(items[i].size);
     const double profit = items[i].profit;
+    const std::size_t lo = window.next(size);
     if (size > cap) continue;
     const double* __restrict prev = a;
     double* __restrict curr = b;
-    for (std::size_t c = 0; c < size; ++c) curr[c] = prev[c];
-    for (std::size_t c = size; c <= cap; ++c) {
+    for (std::size_t c = lo; c < size; ++c) curr[c] = prev[c];
+    for (std::size_t c = std::max(size, lo); c <= cap; ++c) {
       const double cand = prev[c - size] + profit;
       curr[c] = cand > prev[c] ? cand : prev[c];
     }
-    for (std::size_t w = 0; w < row_words; ++w) {
+    std::uint64_t keep = ~std::uint64_t{0} << (lo & 63);
+    for (std::size_t w = lo >> 6; w < row_words; ++w) {
       const std::size_t base = w << 6;
       const std::size_t lanes = std::min<std::size_t>(64, cap + 1 - base);
       std::uint64_t packed = 0;
       for (std::size_t l = 0; l < lanes; ++l) {
         packed |= std::uint64_t(curr[base + l] > prev[base + l]) << l;
       }
-      row[w] = packed;
+      row[w] = packed & keep;
+      keep = ~std::uint64_t{0};
       if (base + 64 > cap) break;
     }
     std::swap(a, b);
@@ -321,7 +366,8 @@ DpKernel best_dp_kernel() noexcept {
 }
 
 void dp_fill(std::span<const KnapsackItem> items, std::size_t cap,
-             KnapsackWorkspace& ws, std::size_t row_words, DpKernel kernel) {
+             KnapsackWorkspace& ws, std::size_t row_words,
+             std::size_t trace_from, DpKernel kernel) {
   const std::size_t n = items.size();
   std::vector<double>& values = WorkspaceAccess::values(ws);
   std::vector<std::uint64_t>& bits = WorkspaceAccess::take_bits(ws);
@@ -343,12 +389,14 @@ void dp_fill(std::span<const KnapsackItem> items, std::size_t cap,
     // One buffer swap per effective item: start so the result ends in a.
     if (effective & 1) std::swap(a, b);
     std::fill(a, a + cap + 1, 0.0);
-    dp_kernel_two_row_avx2(items, cap, a, b, bits.data(), row_words);
+    dp_kernel_two_row_avx2(items, cap, trace_from, a, b, bits.data(),
+                           row_words);
     return;
   }
 #endif
   std::fill(values.begin(), values.end(), 0.0);
-  dp_kernel_scalar(items, cap, values.data(), bits.data(), row_words);
+  dp_kernel_scalar(items, cap, trace_from, values.data(), bits.data(),
+                   row_words);
 }
 
 }  // namespace detail
@@ -357,7 +405,7 @@ KnapsackProfile::KnapsackProfile(std::span<const KnapsackItem> items,
                                  object::Units max_capacity)
     : ws_(&own_) {
   detail::validate_items(items);
-  build(items, max_capacity);
+  build(items, max_capacity, 0);
 }
 
 KnapsackProfile::KnapsackProfile(std::span<const KnapsackItem> items,
@@ -365,19 +413,20 @@ KnapsackProfile::KnapsackProfile(std::span<const KnapsackItem> items,
                                  KnapsackWorkspace& workspace)
     : ws_(&workspace) {
   detail::validate_items(items);
-  build(items, max_capacity);
+  build(items, max_capacity, 0);
 }
 
 KnapsackProfile::KnapsackProfile(std::span<const KnapsackItem> items,
                                  object::Units max_capacity,
-                                 KnapsackWorkspace* workspace,
-                                 AlreadyValidated)
-    : ws_(workspace ? workspace : &own_) {
-  build(items, max_capacity);
+                                 KnapsackWorkspace& workspace,
+                                 TracebackAtMaxOnly)
+    : ws_(&workspace) {
+  build(items, max_capacity, max_capacity);
 }
 
 void KnapsackProfile::build(std::span<const KnapsackItem> items,
-                            object::Units max_capacity) {
+                            object::Units max_capacity,
+                            object::Units trace_from) {
   if (max_capacity < 0) {
     throw std::invalid_argument("KnapsackProfile: negative capacity");
   }
@@ -391,7 +440,7 @@ void KnapsackProfile::build(std::span<const KnapsackItem> items,
   // The decision matrix is a single flat allocation; each item touches
   // only its own contiguous row — prefetch-friendly, no pointer chasing.
   row_words_ = (cap + 1 + 63) / 64;
-  detail::dp_fill(items, cap, *ws_, row_words_);
+  detail::dp_fill(items, cap, *ws_, row_words_, std::size_t(trace_from));
 }
 
 double KnapsackProfile::value_at(object::Units c) const {
@@ -437,7 +486,7 @@ KnapsackSolution solve_dp(std::span<const KnapsackItem> items,
 void solve_dp(std::span<const KnapsackItem> items, object::Units capacity,
               KnapsackWorkspace& ws, KnapsackSolution& out) {
   // The batch is validated exactly once here; the profile construction
-  // below skips re-validation (AlreadyValidated route).
+  // below skips re-validation (TracebackAtMaxOnly route).
   detail::validate_items(items);
   if (capacity < 0) {
     throw std::invalid_argument("KnapsackProfile: negative capacity");
@@ -447,8 +496,8 @@ void solve_dp(std::span<const KnapsackItem> items, object::Units capacity,
   // The shortcut left the density order in the workspace.
   const std::span<const std::size_t> kept =
       detail::reduce_items(items, capacity, ws);
-  const KnapsackProfile profile(ws.kept_items_, capacity, &ws,
-                                KnapsackProfile::AlreadyValidated{});
+  const KnapsackProfile profile(ws.kept_items_, capacity, ws,
+                                KnapsackProfile::TracebackAtMaxOnly{});
   profile.solution_into(capacity, out);
   for (std::size_t& index : out.chosen) index = kept[index];
 }
@@ -470,8 +519,7 @@ void solve_greedy(std::span<const KnapsackItem> items, object::Units capacity,
   detail::density_order(items, ws);
   out.reset();
   object::Units left = capacity;
-  for (std::size_t index : ws.order_) {
-    if (items[index].profit <= 0.0) break;  // sorted: the rest are worthless
+  for (std::size_t index : ws.order_) {  // positive-profit items only
     if (items[index].size <= left) {
       out.chosen.push_back(index);
       out.value += items[index].profit;

@@ -47,6 +47,12 @@ class KnapsackProfile;
 class KnapsackWorkspace;
 
 namespace detail {
+/// density_order's packed sort key: the comparator reads nothing else.
+struct DensityKey {
+  double density;
+  object::Units size;
+  std::size_t index;
+};
 struct WorkspaceAccess;
 void density_order(std::span<const KnapsackItem>, KnapsackWorkspace&);
 std::span<const std::size_t> reduce_items(std::span<const KnapsackItem>,
@@ -82,7 +88,7 @@ class KnapsackWorkspace {
   std::vector<std::uint64_t> take_bits_;  // profile / FPTAS decision bits
   std::vector<object::Units> item_sizes_;
   std::vector<std::size_t> order_;      // density order (greedy, shortcuts)
-  std::vector<double> density_;         // density order's sort keys
+  std::vector<detail::DensityKey> density_keys_;  // density order's keys
   std::vector<std::uint64_t> scaled_;   // FPTAS scaled profits
   std::vector<object::Units> min_weight_;  // FPTAS weight-per-profit row
   std::vector<double> prefix_profit_;   // reduction: density-order sums
@@ -101,11 +107,12 @@ namespace detail {
 void validate_items(std::span<const KnapsackItem> items);
 
 /// Density order shared by the greedy solver, the DP shortcuts and the
-/// bound reduction: profit density descending, then size ascending, then
-/// index ascending. The comparator must stay identical in
+/// bound reduction: the positive-profit items only (zero-profit items
+/// would only ever trail them), by profit density descending, then size
+/// ascending, then index ascending. The comparator must stay identical in
 /// all places — the shortcut's optimality argument assumes it. Writes
 /// the order into the workspace (WorkspaceAccess::order); each density is
-/// computed once, as the sort key.
+/// computed once, into a packed DensityKey.
 void density_order(std::span<const KnapsackItem> items, KnapsackWorkspace& ws);
 
 /// Exactness shortcut 1: all positive-profit items fit together. Returns
@@ -150,13 +157,24 @@ enum class DpKernel { kScalar, kTwoRowAvx2 };
 DpKernel best_dp_kernel() noexcept;
 
 /// Resizes ws.values_ / ws.take_bits_ (and ws.values_prev_ for the
-/// two-row kernel) and fills the optimal value curve for capacities
-/// 0..cap plus the flat take-bit matrix (`row_words` words per item row).
+/// two-row kernel) and fills the DP's value rows and the flat take-bit
+/// matrix (`row_words` words per item row) for capacities up to `cap`.
+///
+/// Only the columns a traceback from some capacity >= `trace_from` can
+/// visit are filled. With R_i the total size of the rows after row i, row
+/// i fills [max(0, trace_from - R_i), cap]: a traceback reaches row i at a
+/// column no lower than that, and row i reads row i - 1 only inside its
+/// window, so nothing below a window is ever read. Below its window a
+/// row's take bits stay 0 and the value curve holds stale values. So
+/// trace_from = 0 fills every column (the profile's all-capacities
+/// curve); trace_from = cap is enough for a solve at cap, where only
+/// values[cap] is meaningful.
+///
 /// Grow-only resizes: allocation-free once the workspace is warm. Pass
 /// kTwoRowAvx2 only where best_dp_kernel() returns it.
 void dp_fill(std::span<const KnapsackItem> items, std::size_t cap,
              KnapsackWorkspace& ws, std::size_t row_words,
-             DpKernel kernel = best_dp_kernel());
+             std::size_t trace_from, DpKernel kernel = best_dp_kernel());
 
 /// Test access to the private workspace buffers.
 struct WorkspaceAccess {
@@ -215,14 +233,18 @@ class KnapsackProfile {
   void solution_into(object::Units c, KnapsackSolution& out) const;
 
  private:
-  struct AlreadyValidated {};
+  /// solve_dp's route: items already validated, and only
+  /// solution_into(max_capacity) is read, so the DP fills just the
+  /// columns that traceback can reach (detail::dp_fill's window).
+  struct TracebackAtMaxOnly {};
   KnapsackProfile(std::span<const KnapsackItem> items,
-                  object::Units max_capacity, KnapsackWorkspace* workspace,
-                  AlreadyValidated);
+                  object::Units max_capacity, KnapsackWorkspace& workspace,
+                  TracebackAtMaxOnly);
   friend void solve_dp(std::span<const KnapsackItem>, object::Units,
                        KnapsackWorkspace&, KnapsackSolution&);
 
-  void build(std::span<const KnapsackItem> items, object::Units max_capacity);
+  void build(std::span<const KnapsackItem> items, object::Units max_capacity,
+             object::Units trace_from);
 
   bool taken(std::size_t item, std::size_t c) const noexcept {
     return (ws_->take_bits_[item * row_words_ + (c >> 6)] >> (c & 63)) & 1u;

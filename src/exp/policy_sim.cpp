@@ -119,7 +119,13 @@ PolicySimResult run_policy_sim(const PolicySimConfig& config,
   util::Summary latency;
   double score_sum = 0.0;
   double recency_sum = 0.0;
+  // Sized for the whole measured window, and one batch buffer reused
+  // every tick: the loop below allocates nothing of its own.
   std::vector<double> per_request_scores;
+  per_request_scores.reserve(
+      std::size_t(std::max<sim::Tick>(0, config.measure_ticks)) *
+      config.requests_per_tick);
+  workload::RequestBatch batch;
   // Windowed aggregation snapshots its column set at begin(), so it must
   // run after the last registration above (station, servers, injector —
   // and anything the caller registered before handing us the hooks,
@@ -132,7 +138,7 @@ PolicySimResult run_policy_sim(const PolicySimConfig& config,
       obs::ScopedPhase updates_span(profiler, updates_phase);
       station.apply_updates(*updates, t);
     }
-    const auto batch = generator.next_batch();
+    generator.next_batch_into(batch);
     const auto tick = station.process_batch(batch, t);
     if (recorder) recorder->sample(t);
     if (observers.windows) observers.windows->on_tick(t);

@@ -27,6 +27,7 @@
 #include "core/knapsack.hpp"
 #include "exp/mobility_fleet.hpp"
 #include "exp/multi_cell.hpp"
+#include "exp/policy_sim.hpp"
 #include "net/fault_injector.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
@@ -587,6 +588,28 @@ TEST(AllocRegression, WarmReducedKnapsackSolveIsAllocationFree) {
   const std::uint64_t after = g_allocations.load();
   EXPECT_EQ(after - before, 0u)
       << (after - before) << " steady-state heap allocations";
+}
+
+// run_policy_sim draws every batch into one reused buffer and reserves
+// the per-request score vector for the whole measured window up front,
+// so its allocation count depends on set-up and warm-up only: ten times
+// the measured ticks costs not one allocation more. The config is the
+// default one (zipf access, knapsack policy, 50 requests a tick); its
+// station scratch reaches its high-water sizes within ~200 ticks, so the
+// warm-up runs 300.
+TEST(AllocRegression, PolicySimTickLoopIsAllocationFree) {
+  const auto allocations_at = [](sim::Tick measure_ticks) {
+    exp::PolicySimConfig config;
+    config.warmup_ticks = 300;
+    config.measure_ticks = measure_ticks;
+    const std::uint64_t before = g_allocations.load();
+    const exp::PolicySimResult result = exp::run_policy_sim(config);
+    const std::uint64_t after = g_allocations.load();
+    EXPECT_EQ(result.requests,
+              std::uint64_t(measure_ticks) * config.requests_per_tick);
+    return after - before;
+  };
+  EXPECT_EQ(allocations_at(20), allocations_at(200));
 }
 
 }  // namespace

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace mobi::core {
 namespace {
@@ -63,6 +70,41 @@ TEST(ScoreQuantile, Validation) {
   EXPECT_THROW(score_quantile(scores, 1.1), std::invalid_argument);
   EXPECT_DOUBLE_EQ(score_quantile({}, 0.5), 1.0);
   EXPECT_DOUBLE_EQ(score_quantile(scores, 0.5), 0.5);
+}
+
+// score_quantile selects its two order statistics in O(n); it must
+// return exactly the doubles a full sort and interpolation return.
+double sorted_quantile(std::vector<double> scores, double q) {
+  std::sort(scores.begin(), scores.end());
+  const double position = q * double(scores.size() - 1);
+  const auto lo = std::size_t(std::floor(position));
+  const auto hi = std::size_t(std::ceil(position));
+  const double frac = position - double(lo);
+  return scores[lo] * (1.0 - frac) + scores[hi] * frac;
+}
+
+TEST(ScoreQuantile, MatchesFullSortBitForBit) {
+  util::Rng rng(1010);
+  for (std::size_t n : {1, 2, 3, 4, 7, 10, 33, 64, 101, 1000}) {
+    for (int trial = 0; trial < 8; ++trial) {
+      // Even trials draw from 8 values, so duplicates are common; every
+      // fourth trial adds a uniform fraction, so values rarely repeat.
+      const int distinct = trial % 2 == 0 ? 5 : 1000;
+      std::vector<double> scores(n);
+      for (double& x : scores) {
+        x = double(rng.uniform_int(-2, distinct)) / double(distinct) +
+            (trial % 4 == 3 ? rng.uniform() : 0.0);
+      }
+      for (double q : {0.0, 0.1, 0.5, 0.9, 1.0}) {
+        const std::string what = "n " + std::to_string(n) + " trial " +
+                                 std::to_string(trial) + " q " +
+                                 std::to_string(q);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(score_quantile(scores, q)),
+                  std::bit_cast<std::uint64_t>(sorted_quantile(scores, q)))
+            << what;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -13,8 +13,9 @@
 // differ by one ulp, and unit-tested directly.
 //
 // The best DP kernel (AVX2 where the CPU has it) is checked against the
-// scalar loop on the raw value curve and take bits, and four canonical
-// subsets are pinned by value.
+// scalar loop on the raw value curve and take bits, full and windowed
+// (dp_fill's traceback window), the windowed fill against the full one,
+// and four canonical subsets are pinned by value.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -482,11 +483,26 @@ struct KernelFill {
 
 // Runs one kernel and copies out its raw value curve and take-bit matrix.
 KernelFill fill_with(const std::vector<KnapsackItem>& items, std::size_t cap,
-                     detail::DpKernel kernel) {
+                     std::size_t trace_from, detail::DpKernel kernel) {
   KnapsackWorkspace ws;
-  detail::dp_fill(items, cap, ws, (cap + 64) / 64, kernel);
+  detail::dp_fill(items, cap, ws, (cap + 64) / 64, trace_from, kernel);
   return {detail::WorkspaceAccess::values(ws),
           detail::WorkspaceAccess::take_bits(ws)};
+}
+
+// Two fills must agree bit for bit on every column both filled: the
+// final value curve from trace_from up (the last row's window), and the
+// whole take-bit matrix (bits below a window are 0 in both).
+void expect_fills_match(const KernelFill& got, const KernelFill& want,
+                        std::size_t cap, std::size_t trace_from,
+                        const std::string& what) {
+  ASSERT_EQ(got.values.size(), cap + 1) << what;
+  ASSERT_EQ(want.values.size(), cap + 1) << what;
+  for (std::size_t c = trace_from; c <= cap; ++c) {
+    ASSERT_EQ(bits_of(got.values[c]), bits_of(want.values[c]))
+        << what << " cap " << c;
+  }
+  EXPECT_EQ(got.bits, want.bits) << what;
 }
 
 // The best kernel on this build (the AVX2 two-row kernel where the CPU
@@ -494,17 +510,36 @@ KernelFill fill_with(const std::vector<KnapsackItem>& items, std::size_t cap,
 // bit-matrix word for word. Without AVX2 both sides run the scalar loop,
 // which still pins it as deterministic.
 void expect_kernels_match(const std::vector<KnapsackItem>& items,
-                          std::size_t cap, const std::string& what) {
+                          std::size_t cap, const std::string& what,
+                          std::size_t trace_from = 0) {
   using detail::DpKernel;
-  const KernelFill scalar = fill_with(items, cap, DpKernel::kScalar);
-  const KernelFill best = fill_with(items, cap, detail::best_dp_kernel());
-  ASSERT_EQ(scalar.values.size(), cap + 1) << what;
-  ASSERT_EQ(best.values.size(), cap + 1) << what;
-  for (std::size_t c = 0; c <= cap; ++c) {
-    ASSERT_EQ(bits_of(best.values[c]), bits_of(scalar.values[c]))
-        << what << " cap " << c;
+  expect_fills_match(fill_with(items, cap, trace_from, detail::best_dp_kernel()),
+                     fill_with(items, cap, trace_from, DpKernel::kScalar), cap,
+                     trace_from, what + " from " + std::to_string(trace_from));
+}
+
+// A windowed fill is the full fill restricted to each row's window
+// [max(0, trace_from - R_i), cap], R_i the total size of the rows after
+// row i: the same final values from trace_from up, and the same take bits
+// inside every window (0 below it).
+void expect_window_matches_full(const std::vector<KnapsackItem>& items,
+                                std::size_t cap, std::size_t trace_from,
+                                detail::DpKernel kernel,
+                                const std::string& what) {
+  KernelFill full = fill_with(items, cap, 0, kernel);
+  const std::size_t row_words = (cap + 64) / 64;
+  std::size_t after = 0;
+  for (const KnapsackItem& item : items) after += std::size_t(item.size);
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    after -= std::size_t(items[i].size);
+    const std::size_t lo = trace_from > after ? trace_from - after : 0;
+    for (std::size_t c = 0; c < lo && c <= cap; ++c) {
+      full.bits[i * row_words + (c >> 6)] &= ~(std::uint64_t{1} << (c & 63));
+    }
   }
-  EXPECT_EQ(best.bits, scalar.bits) << what;
+  expect_fills_match(fill_with(items, cap, trace_from, kernel), full, cap,
+                     trace_from,
+                     what + " window from " + std::to_string(trace_from));
 }
 
 // Random instances (zero-profit items, items larger than the capacity)
@@ -554,6 +589,65 @@ TEST(KnapsackDpKernel, Avx2MatchesScalarBitForBit) {
       expect_kernels_match(family.generate(rng),
                            std::size_t(family.max_capacity),
                            family.name + " #" + std::to_string(instance));
+    }
+  }
+}
+
+// The traceback window, through dp_fill's kernel argument: the AVX2 fill
+// must match the scalar fill on every filled column at the word-edge
+// capacities, for a single row, with windows that start at 0 (trace_from
+// 0, or rows followed by more than trace_from units) and windows that do
+// not, and on every generated family traced from its capacity, as
+// solve_dp traces.
+TEST(KnapsackDpWindow, Avx2MatchesScalarOnEveryFilledColumn) {
+  if (detail::best_dp_kernel() != detail::DpKernel::kTwoRowAvx2) {
+    GTEST_SKIP() << "no AVX2 on this build or CPU; only the scalar kernel runs";
+  }
+  util::Rng rng(9090);
+  for (int trial = 0; trial < 6; ++trial) {
+    const auto items = random_items(rng, 24, 6);
+    for (std::size_t cap : {63, 64, 65, 127, 128}) {
+      for (std::size_t from : {std::size_t{0}, cap / 2, cap - 1, cap}) {
+        expect_kernels_match(items, cap, "trial " + std::to_string(trial) +
+                                             " cap " + std::to_string(cap),
+                             from);
+      }
+    }
+  }
+  for (object::Units size : {1, 5, 63, 64, 65, 128}) {
+    const std::vector<KnapsackItem> one{{size, 2.5}};
+    for (std::size_t cap : {63, 64, 65, 127, 128}) {
+      for (std::size_t from : {std::size_t{0}, cap - 1, cap}) {
+        expect_kernels_match(one, cap, "single row of size " +
+                                           std::to_string(size) + " cap " +
+                                           std::to_string(cap),
+                             from);
+      }
+    }
+  }
+  for (const Family& family : families()) {
+    for (int instance = 0; instance < family.instances; ++instance) {
+      const auto cap = std::size_t(family.max_capacity);
+      expect_kernels_match(family.generate(rng), cap,
+                           family.name + " #" + std::to_string(instance), cap);
+    }
+  }
+}
+
+// Each kernel's windowed fill is its full fill restricted to the windows,
+// so filling less changes nothing the traceback reads.
+TEST(KnapsackDpWindow, WindowedFillIsFullFillInsideWindows) {
+  util::Rng rng(4711);
+  for (detail::DpKernel kernel :
+       {detail::DpKernel::kScalar, detail::best_dp_kernel()}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      const std::size_t n = std::size_t(rng.uniform_int(0, 40));
+      const auto items = random_items(rng, n, trial % 2 == 0 ? 9 : 40);
+      const auto cap = std::size_t(rng.uniform_int(0, 150));
+      const auto from = std::size_t(rng.uniform_int(0, std::int64_t(cap)));
+      const std::string what = "trial " + std::to_string(trial);
+      expect_window_matches_full(items, cap, from, kernel, what);
+      expect_window_matches_full(items, cap, cap, kernel, what);
     }
   }
 }
