@@ -36,7 +36,7 @@ static int bench_main(int argc, char** argv) {
     cache::Cache believed(n, cache::make_harmonic_decay());
     cache::Cache truth(n, cache::make_harmonic_decay());
     cache::InvalidationLog log(n);
-    cache::InvalidationListener listener(believed);
+    cache::InvalidationListener listener;
     core::ReciprocalScorer scorer;
     core::OnDemandKnapsackPolicy policy;
     auto updates = workload::make_periodic_staggered(n, 3);
@@ -54,7 +54,7 @@ static int bench_main(int argc, char** argv) {
         log.record_update(id, t);
       });
       if (t > 0 && t % report_period == 0) {
-        listener.apply(log.make_report(t - report_period, t));
+        listener.apply(log.make_report(t - report_period, t), believed);
       }
 
       const auto batch = generator.next_batch();

@@ -46,20 +46,9 @@ object::Units downloaded_units(std::size_t object_count,
   auto updates = staggered
                      ? workload::make_periodic_staggered(object_count, 5)
                      : workload::make_periodic_synchronized(object_count, 5);
-  std::shared_ptr<const workload::AccessDistribution> access;
-  switch (pattern) {
-    case exp::AccessPattern::kUniform:
-      access = workload::make_uniform_access(object_count);
-      break;
-    case exp::AccessPattern::kRankLinear:
-      access = workload::make_rank_linear_access(object_count);
-      break;
-    case exp::AccessPattern::kZipf:
-      access = workload::make_zipf_access(object_count, 1.0);
-      break;
-  }
-  workload::RequestGenerator generator(access, workload::ConstantTarget{1.0},
-                                       request_rate, rng.split());
+  workload::RequestGenerator generator(
+      exp::make_access(pattern, object_count, 1.0),
+      workload::ConstantTarget{1.0}, request_rate, rng.split());
   const sim::Tick warmup = 100, measured = 500;
   object::Units total = 0;
   for (sim::Tick t = 0; t < warmup + measured; ++t) {

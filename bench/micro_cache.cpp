@@ -61,7 +61,7 @@ BENCHMARK(BM_BoundedCacheAdmit)->ArgsProduct({{0, 1, 2, 3},
                                               {200, 2048, 16384}});
 
 // One client hearing one contiguous report that names every fifth object
-// of the catalog, all 20 residents among them: the sink walks the
+// of the catalog, all 20 residents among them: the listener walks the
 // residents and binary-searches the report, so the cost grows with
 // log(report length), not with it.
 void BM_HearReport(benchmark::State& state) {
@@ -69,7 +69,7 @@ void BM_HearReport(benchmark::State& state) {
   const auto catalog = object::make_uniform_catalog(n, 1);
   cache::BoundedCache store(catalog, cache::make_harmonic_decay(), 20,
                             cache::lru_policy());
-  cache::InvalidationListener listener(store);
+  cache::InvalidationListener listener;
   for (std::size_t k = 0; k < 20; ++k) {
     store.admit(object::ObjectId(k * 5 * (n / 100)), {1, 0, 1}, 0);
   }
@@ -81,7 +81,7 @@ void BM_HearReport(benchmark::State& state) {
   for (auto _ : state) {
     report.window_start = t;
     report.window_end = ++t;
-    benchmark::DoNotOptimize(listener.apply(report));
+    benchmark::DoNotOptimize(listener.apply(report, store));
   }
 }
 BENCHMARK(BM_HearReport)->Arg(200)->Arg(2048)->Arg(16384);

@@ -11,13 +11,8 @@
 // fleet-wide mc.* series aggregated across all cells.
 //
 // --cells-skew gives the fleet a Zipf-distributed client population
-// (total clients preserved, big cells deterministically scattered across
-// the index space) and compares the shard schedules — static contiguous
-// blocks vs the legacy shared queue vs LPT + work stealing — at a fixed
-// pool size. On a 1-CPU container wall-clock cannot separate them, so
-// the comparison reports each schedule's *modeled* makespan (the busiest
-// worker's summed cost estimate — exact for static/LPT plans) alongside
-// the honest wall-clock.
+// (total clients preserved, the heavy cells in one contiguous run of
+// shard indices), the shape the LPT + work-stealing dispatch packs.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -54,9 +49,8 @@ bool same_aggregate(const mobi::client::CellResult& a,
 // (floor 1). Counts stay in rank order — cell indices follow geography,
 // and real hotspots cluster spatially (a downtown district is several
 // adjacent heavy cells), so the heavy head lands in one contiguous run
-// of shard indices. Contiguous static blocking then piles the whole hot
-// district onto one worker — the imbalance pathology LPT packing plus
-// stealing is for. Pure function of (cells, clients_per_cell, alpha).
+// of shard indices — the imbalance LPT packing plus stealing is for.
+// Pure function of (cells, clients_per_cell, alpha).
 std::vector<std::size_t> zipf_client_counts(std::size_t cells,
                                             std::size_t clients_per_cell,
                                             double alpha) {
@@ -171,52 +165,6 @@ static int bench_main(int argc, char** argv) {
   }
   std::cout << "(all rows bit-identical to the serial aggregate)\n\n";
 
-  // Schedule comparison at a fixed pool size: contiguous static blocks vs
-  // the legacy shared queue vs the LPT + stealing default. Modeled
-  // makespan is the busiest worker's summed cost estimate under each
-  // plan (kQueue has no static plan, shown as 0); the ratio column is
-  // static's makespan over this row's — the speedup the plan achieves on
-  // `pool` ideal cores, which 1-CPU wall-clock cannot show.
-  {
-    const std::size_t pool_size =
-        std::size_t(flags.get_int("pool", quick ? 2 : 8));
-    const exp::ShardSchedule schedules[] = {exp::ShardSchedule::kStaticBlocked,
-                                            exp::ShardSchedule::kQueue,
-                                            exp::ShardSchedule::kLptSteal};
-    util::Table sched_table({"schedule", "seconds", "modeled makespan",
-                             "modeled speedup vs static", "steals",
-                             "avg score"});
-    double static_makespan = 0.0;
-    bool sched_identical = true;
-    for (const exp::ShardSchedule schedule : schedules) {
-      exp::MultiCellConfig run = config;
-      run.schedule = schedule;
-      util::ThreadPool pool(pool_size);
-      const auto start = std::chrono::steady_clock::now();
-      const exp::MultiCellResult r = exp::run_multi_cell(run, &pool);
-      const double elapsed = seconds_since(start);
-      sched_identical =
-          sched_identical && same_aggregate(serial.aggregate, r.aggregate);
-      const double makespan = double(r.schedule_stats.planned_makespan);
-      if (schedule == exp::ShardSchedule::kStaticBlocked) {
-        static_makespan = makespan;
-      }
-      sched_table.add_row(
-          {std::string(exp::shard_schedule_name(schedule)), elapsed, makespan,
-           makespan > 0.0 ? static_makespan / makespan : 0.0,
-           (long long)(r.schedule_stats.steals), r.aggregate.average_score()});
-    }
-    bench::emit(flags,
-                "Shard schedules at pool " + std::to_string(pool_size) +
-                    (skew ? " (zipf client skew)" : " (uniform cells)"),
-                "scale_multi_cell_schedules", sched_table);
-    if (!sched_identical) {
-      std::cerr << "FAIL: schedule variants diverged from the serial run\n";
-      return 1;
-    }
-    std::cout << "(all schedules bit-identical to the serial aggregate)\n\n";
-  }
-
   std::cout << "horizon: " << double(serial.cells) / serial_seconds
             << " cells/s, " << double(serial.total_requests) / serial_seconds
             << " requests/s serial, peak RSS " << peak_rss_kb() << " kB\n\n";
@@ -227,7 +175,7 @@ static int bench_main(int argc, char** argv) {
     obs::SeriesRecorder recorder(registry);
     util::ThreadPool pool(quick ? 2 : 4);
     const exp::MultiCellResult instrumented =
-        exp::run_multi_cell(config, &pool, &recorder);
+        exp::run_multi_cell(config, &pool, {.recorder = &recorder});
     if (!same_aggregate(serial.aggregate, instrumented.aggregate)) {
       std::cerr << "FAIL: instrumented aggregate diverged\n";
       return 1;

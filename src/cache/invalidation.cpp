@@ -60,75 +60,65 @@ void InvalidationLog::prune(sim::Tick before) {
   }
 }
 
-InvalidationSink make_sink(Cache& cache) {
-  InvalidationSink sink;
-  sink.decay_reported = [&cache](const InvalidationReport& report) {
-    int decayed = 0;
-    for (const auto& item : report.items) {
-      for (std::uint32_t k = 0; k < item.updates; ++k) {
-        if (cache.contains(item.object)) {
-          cache.on_server_update(item.object);
-          ++decayed;
-        }
-      }
-    }
-    return decayed;
-  };
-  sink.drop_all = [&cache] {
-    const std::size_t n = cache.object_count();
-    for (object::ObjectId id = 0; id < n; ++id) cache.evict(id);
-  };
-  return sink;
-}
-
-InvalidationSink make_sink(BoundedCache& cache) {
-  InvalidationSink sink;
-  sink.decay_reported = [&cache](const InvalidationReport& report) {
-    // Residents and items are both id-ordered, so each search starts
-    // where the previous one ended.
-    auto from = report.items.begin();
-    return cache.decay_residents([&](object::ObjectId id) -> std::uint32_t {
-      from = std::lower_bound(from, report.items.end(), id, ById{});
-      return from != report.items.end() && from->object == id ? from->updates
-                                                               : 0;
-    });
-  };
-  sink.drop_all = [&cache] { cache.clear(); };
-  return sink;
-}
-
-InvalidationListener::InvalidationListener(Cache& cache)
-    : InvalidationListener(make_sink(cache)) {}
-
-InvalidationListener::InvalidationListener(BoundedCache& cache)
-    : InvalidationListener(make_sink(cache)) {}
-
-InvalidationListener::InvalidationListener(InvalidationSink sink)
-    : sink_(std::move(sink)) {
-  if (!sink_.decay_reported || !sink_.drop_all) {
-    throw std::invalid_argument("InvalidationListener: incomplete sink");
-  }
-}
-
-int InvalidationListener::apply(const InvalidationReport& report) {
+bool InvalidationListener::sleeper_rule_fires(
+    const InvalidationReport& report) {
   if (report.window_end < report.window_start) {
     throw std::invalid_argument("InvalidationListener: bad report window");
   }
   // Sleeper rule: a gap between the last report heard and this one means
   // we may have missed invalidations — nothing cached can be trusted.
-  if (heard_any_ && report.window_start > last_end_) {
-    sink_.drop_all();
-    ++drops_;
-    last_end_ = report.window_end;
-    ++applied_;
-    // The report's own contents are irrelevant: the cache is empty now.
-    return -1;
-  }
-  const int decayed = sink_.decay_reported(report);
+  if (!heard_any_ || report.window_start <= last_end_) return false;
+  ++drops_;
+  last_end_ = report.window_end;
+  ++applied_;
+  // The report's own contents are irrelevant: the cache is empty now.
+  return true;
+}
+
+int InvalidationListener::heard(const InvalidationReport& report,
+                                int decayed) {
   heard_any_ = true;
   last_end_ = std::max(last_end_, report.window_end);
   ++applied_;
   return decayed;
+}
+
+int InvalidationListener::apply(const InvalidationReport& report,
+                                Cache& cache) {
+  if (sleeper_rule_fires(report)) {
+    const std::size_t n = cache.object_count();
+    for (object::ObjectId id = 0; id < n; ++id) cache.evict(id);
+    return -1;
+  }
+  int decayed = 0;
+  for (const auto& item : report.items) {
+    for (std::uint32_t k = 0; k < item.updates; ++k) {
+      if (cache.contains(item.object)) {
+        cache.on_server_update(item.object);
+        ++decayed;
+      }
+    }
+  }
+  return heard(report, decayed);
+}
+
+int InvalidationListener::apply(const InvalidationReport& report,
+                                BoundedCache& cache) {
+  if (sleeper_rule_fires(report)) {
+    cache.clear();
+    return -1;
+  }
+  // Residents and items are both id-ordered, so each search starts where
+  // the previous one ended.
+  auto from = report.items.begin();
+  const int decayed =
+      cache.decay_residents([&](object::ObjectId id) -> std::uint32_t {
+        from = std::lower_bound(from, report.items.end(), id, ById{});
+        return from != report.items.end() && from->object == id
+                   ? from->updates
+                   : 0;
+      });
+  return heard(report, decayed);
 }
 
 }  // namespace mobi::cache

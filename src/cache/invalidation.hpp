@@ -9,12 +9,10 @@
 // more than the report's window can no longer trust anything it holds.
 // This module implements report generation on the server side, report
 // application on the cache side, and the sleeper rule. The listener works
-// against any cache-like target through InvalidationSink (adapters for
-// Cache and BoundedCache are provided).
+// against a Cache or a BoundedCache handed to it with each report.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -66,43 +64,37 @@ class InvalidationLog {
   std::size_t total_ = 0;
 };
 
-/// What a listener needs from the cache it maintains, one call per report.
-struct InvalidationSink {
-  /// Applies one missed update per reported update to every cached entry
-  /// the report names; returns the number of decays applied.
-  std::function<int(const InvalidationReport&)> decay_reported;
-  /// Drops every cached entry (the sleeper rule).
-  std::function<void()> drop_all;
-};
-
-/// The Cache adapter walks the report's items; the BoundedCache adapter
-/// walks its residents and binary-searches the id-ordered items, so a
-/// small cache pays for what it holds, not for the report's length.
-/// Decays of different objects are independent, so both orders leave the
-/// same state.
-InvalidationSink make_sink(Cache& cache);
-InvalidationSink make_sink(BoundedCache& cache);
-
 /// Cache-side listener. Tracks the last report heard; applies decay for
 /// each reported update. If a gap is detected (the new report's window
 /// does not start where the previous ended), the listener must assume it
 /// missed updates and — per the sleeper rule — drops every cached entry.
+///
+/// The listener holds only the sleeper-rule state; the cache it maintains
+/// is passed to each apply(), so neither object points into the other and
+/// both can be moved freely.
 class InvalidationListener {
  public:
-  explicit InvalidationListener(Cache& cache);
-  explicit InvalidationListener(BoundedCache& cache);
-  explicit InvalidationListener(InvalidationSink sink);
-
   /// Applies a report. Returns the number of cache entries decayed, or
-  /// -1 if the sleeper rule fired and the cache was dropped.
-  int apply(const InvalidationReport& report);
+  /// -1 if the sleeper rule fired and the cache was dropped. The Cache
+  /// overload walks the report's items; the BoundedCache overload walks
+  /// the residents and binary-searches the id-ordered items, so a small
+  /// cache pays for what it holds, not for the report's length. Decays
+  /// of different objects are independent, so both orders leave the
+  /// same state.
+  int apply(const InvalidationReport& report, Cache& cache);
+  int apply(const InvalidationReport& report, BoundedCache& cache);
 
   sim::Tick last_heard_end() const noexcept { return last_end_; }
   std::uint64_t reports_applied() const noexcept { return applied_; }
   std::uint64_t cache_drops() const noexcept { return drops_; }
 
  private:
-  InvalidationSink sink_;
+  /// Validates the window; on a gap records the drop and returns true
+  /// (the caller then empties its cache).
+  bool sleeper_rule_fires(const InvalidationReport& report);
+  /// Records a report applied without a drop; returns `decayed`.
+  int heard(const InvalidationReport& report, int decayed);
+
   sim::Tick last_end_ = 0;
   bool heard_any_ = false;
   std::uint64_t applied_ = 0;

@@ -89,6 +89,21 @@ class MobileClient {
     return listener_.cache_drops();
   }
 
+  /// Sleeper drops and handoffs since the previous claim. The counters
+  /// travel with the client; the cell it is resident in claims them
+  /// (client::ClientCell), so each increment is attributed exactly once.
+  struct Claim {
+    std::uint64_t sleeper_drops = 0;
+    std::uint64_t handoffs = 0;
+  };
+  Claim claim_counters() noexcept {
+    const Claim fresh{sleeper_drops() - claimed_drops_,
+                      handoffs_ - claimed_handoffs_};
+    claimed_drops_ = sleeper_drops();
+    claimed_handoffs_ = handoffs_;
+    return fresh;
+  }
+
  private:
   std::uint32_t id_;
   MobileClientConfig config_;
@@ -97,6 +112,8 @@ class MobileClient {
   Connectivity connectivity_ = Connectivity::kConnected;
   sim::Tick handoff_ticks_left_ = 0;
   std::uint64_t handoffs_ = 0;
+  std::uint64_t claimed_drops_ = 0;
+  std::uint64_t claimed_handoffs_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

@@ -328,10 +328,6 @@ void CoopCluster::tick() {
   ++now_;
 }
 
-CoopResult run_cooperative(const CoopConfig& config) {
-  return run_cooperative(config, nullptr);
-}
-
 CoopResult run_cooperative(const CoopConfig& config,
                            std::vector<CoopResult>* per_tick) {
   CoopCluster cluster(config);

@@ -158,15 +158,12 @@ class CoopCluster : public CoherenceDirectory::Listener {
   std::uint64_t updates_this_tick_ = 0;  // profiler cost scratch
 };
 
-CoopResult run_cooperative(const CoopConfig& config);
-
-/// Same simulation, additionally appending one cumulative CoopResult
-/// snapshot per tick (warmup ticks included — their rows simply carry
-/// zeros, keeping the series aligned with the tick index) so
-/// per_tick->back() equals the return value. Passing nullptr is identical
-/// to the plain overload.
+/// Runs the cluster. A non-null `per_tick` receives one cumulative
+/// CoopResult snapshot per tick (warmup ticks included — their rows
+/// simply carry zeros, keeping the series aligned with the tick index),
+/// so per_tick->back() equals the return value.
 CoopResult run_cooperative(const CoopConfig& config,
-                           std::vector<CoopResult>* per_tick);
+                           std::vector<CoopResult>* per_tick = nullptr);
 
 /// Same simulation, recording per-tick `coop.*` metrics — request/score
 /// aggregates plus the literal `coop.coherence.{invalidations,

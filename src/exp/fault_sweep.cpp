@@ -33,7 +33,8 @@ FaultSweepResult run_fault_sweep(const FaultSweepConfig& config,
     PolicySimConfig sim = config.base;
     sim.faults = fault_plan_at(config, rate);
     sim.policy = config.on_demand_policy;
-    point.on_demand = run_policy_sim(sim, record ? recorder : nullptr);
+    point.on_demand =
+        run_policy_sim(sim, {.recorder = record ? recorder : nullptr});
     sim.policy = config.async_policy;
     point.async_baseline = run_policy_sim(sim);
     result.points.push_back(point);

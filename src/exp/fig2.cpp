@@ -3,6 +3,7 @@
 #include "util/thread_pool.hpp"
 
 #include <memory>
+#include <stdexcept>
 
 #include "cache/decay.hpp"
 #include "core/base_station.hpp"
@@ -27,8 +28,6 @@ const char* access_pattern_name(AccessPattern pattern) noexcept {
   return "?";
 }
 
-namespace {
-
 std::shared_ptr<const workload::AccessDistribution> make_access(
     AccessPattern pattern, std::size_t n, double zipf_alpha) {
   switch (pattern) {
@@ -37,13 +36,6 @@ std::shared_ptr<const workload::AccessDistribution> make_access(
     case AccessPattern::kZipf: return workload::make_zipf_access(n, zipf_alpha);
   }
   throw std::invalid_argument("make_access: bad pattern");
-}
-
-}  // namespace
-
-object::Units run_fig2_once(const Fig2Config& config, AccessPattern pattern,
-                            std::size_t request_rate) {
-  return run_fig2_once(config, pattern, request_rate, nullptr);
 }
 
 object::Units run_fig2_once(const Fig2Config& config, AccessPattern pattern,

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,11 +21,20 @@ namespace mobi::obs {
 class SeriesRecorder;
 }  // namespace mobi::obs
 
+namespace mobi::workload {
+class AccessDistribution;
+}  // namespace mobi::workload
+
 namespace mobi::exp {
 
 enum class AccessPattern { kUniform, kRankLinear, kZipf };
 
 const char* access_pattern_name(AccessPattern pattern) noexcept;
+
+/// The access distribution `pattern` names over `n` objects
+/// (`zipf_alpha` applies to kZipf only).
+std::shared_ptr<const workload::AccessDistribution> make_access(
+    AccessPattern pattern, std::size_t n, double zipf_alpha);
 
 struct Fig2Config {
   std::size_t object_count = 500;
@@ -58,16 +68,12 @@ struct Fig2Result {
 };
 
 /// Runs one simulation: returns units downloaded by the on-demand
-/// stale-only policy during the measure window.
-object::Units run_fig2_once(const Fig2Config& config, AccessPattern pattern,
-                            std::size_t request_rate);
-
-/// Same single simulation with per-tick metrics snapshotted into
-/// `recorder` (base station + cache + downlink + servers); nullptr is
-/// identical to the plain overload.
+/// stale-only policy during the measure window. A non-null `recorder`
+/// snapshots per-tick metrics (base station + cache + downlink +
+/// servers); it does not change the result.
 object::Units run_fig2_once(const Fig2Config& config, AccessPattern pattern,
                             std::size_t request_rate,
-                            obs::SeriesRecorder* recorder);
+                            obs::SeriesRecorder* recorder = nullptr);
 
 /// Full sweep over request rates and the three access patterns.
 Fig2Result run_fig2(const Fig2Config& config);

@@ -76,12 +76,6 @@ double run_trace(const Fig3Config& config, const workload::Trace& trace,
 }  // namespace
 
 double run_fig3_once(const Fig3Config& config, object::Units budget,
-                     bool on_demand) {
-  const workload::Trace trace = build_trace(config);
-  return run_trace(config, trace, budget, on_demand);
-}
-
-double run_fig3_once(const Fig3Config& config, object::Units budget,
                      bool on_demand, obs::SeriesRecorder* recorder) {
   const workload::Trace trace = build_trace(config);
   return run_trace(config, trace, budget, on_demand, recorder);

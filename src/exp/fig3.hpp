@@ -48,13 +48,10 @@ struct Fig3Result {
 
 /// One (policy, budget) simulation; returns the mean recency of all copies
 /// delivered during the measure window. `on_demand` false = round robin.
+/// A non-null `recorder` snapshots per-tick metrics; it does not change
+/// the result.
 double run_fig3_once(const Fig3Config& config, object::Units budget,
-                     bool on_demand);
-
-/// Same single simulation with per-tick metrics snapshotted into
-/// `recorder`; nullptr is identical to the plain overload.
-double run_fig3_once(const Fig3Config& config, object::Units budget,
-                     bool on_demand, obs::SeriesRecorder* recorder);
+                     bool on_demand, obs::SeriesRecorder* recorder = nullptr);
 
 Fig3Result run_fig3(const Fig3Config& config);
 

@@ -10,16 +10,14 @@
 //     per-cell ServerPools stay version-consistent because the staggered
 //     update process (deterministic, RNG-free) is applied identically in
 //     each cell.
-//   * ONE stable client vector, global ids, constructed once and never
-//     reallocated (MobileClient's invalidation listener captures the
-//     address of its own cache — the object must not move). Cells hold
-//     rosters of ids; migration moves ids, never objects.
+//   * ONE client vector, global ids. Each cell is a client::ClientCell
+//     holding a roster of ids; migration moves ids, never objects.
 //   * Per-cell streams (connectivity, requests, faults) seeded with the
 //     same position-addressable shard_seed discipline as the sharded
 //     path, so a pool-of-K run is bit-identical to serial for every K.
 //
-// Each tick: cells run the run_cell-shaped body in parallel (updates ->
-// report -> client requests -> process_batch -> stores -> snapshot),
+// Each tick: every ClientCell ticks in parallel — the same tick body
+// run_cell runs, with serves in flight for mobility_delivery_ticks —
 // then a single-threaded barrier steps the MobilityModel, posts each
 // crossing to the HandoffBus, and drains it — roster moves plus a
 // deterministic handoff window on the crossing client. With
@@ -32,20 +30,13 @@
 #include <optional>
 #include <vector>
 
-#include "cache/invalidation.hpp"
 #include "client/cell.hpp"
 #include "client/mobile_client.hpp"
-#include "core/base_station.hpp"
 #include "core/residency.hpp"
 #include "exp/handoff_bus.hpp"
 #include "exp/multi_cell.hpp"
-#include "net/fault_injector.hpp"
-#include "server/remote_server.hpp"
 #include "sim/mobility.hpp"
 #include "util/thread_pool.hpp"
-#include "workload/access.hpp"
-#include "workload/requests.hpp"
-#include "workload/updates.hpp"
 
 namespace mobi::obs {
 class RequestTracer;
@@ -106,11 +97,11 @@ class MobilityFleet {
   std::size_t client_count() const noexcept { return clients_.size(); }
 
   const client::CellResult& cell_result(std::size_t cell) const {
-    return cells_.at(cell)->result;
+    return cells_.at(cell)->result();
   }
   /// Sorted global ids currently resident in `cell`.
   const std::vector<std::uint32_t>& roster(std::size_t cell) const {
-    return cells_.at(cell)->roster;
+    return cells_.at(cell)->roster();
   }
   std::uint32_t cell_of_client(std::uint32_t client) const {
     return model_->cell_of(client);
@@ -128,55 +119,12 @@ class MobilityFleet {
   }
 
  private:
-  /// One serve in flight on a cell's downlink: decided at some tick,
-  /// landing at `land`. `recency` is frozen at send time (the payload's
-  /// content does not change mid-flight).
-  struct Delivery {
-    std::uint32_t client = 0;
-    object::ObjectId object = 0;
-    double recency = 1.0;
-    sim::Tick land = 0;
-  };
-
-  struct CellState {
-    server::ServerPool servers;
-    core::BaseStation station;
-    cache::InvalidationLog log;
-    std::unique_ptr<workload::UpdateProcess> updates;
-    std::optional<net::FaultInjector> injector;
-    util::Rng connectivity_rng;
-    util::Rng request_rng;
-    std::vector<std::uint32_t> roster;  // sorted global client ids
-    client::CellResult result;
-    std::uint64_t delivered_payloads = 0;
-    std::uint64_t lost_deliveries = 0;
-    // Reused per-tick scratch (reserved in the constructor).
-    workload::RequestBatch batch;
-    std::vector<std::uint32_t> requester;  // global id per batch entry
-    std::vector<Delivery> in_flight;  // kept compact, enqueue order
-    cache::InvalidationReport report;
-    obs::RequestTracer* tracer = nullptr;
-    client::CellSeries* series = nullptr;
-
-    CellState(const object::Catalog& catalog, const MultiCellConfig& config,
-              std::uint64_t cell_seed, std::size_t initial_clients);
-  };
-
-  void run_cell_tick(CellState& cell, sim::Tick t);
-  void land_deliveries(CellState& cell, sim::Tick t);
   void barrier(sim::Tick t);
 
   MultiCellConfig config_;
   object::Catalog catalog_;
-  core::ReciprocalScorer landing_scorer_;
-  std::shared_ptr<const workload::AccessDistribution> access_;
-  std::vector<std::unique_ptr<CellState>> cells_;
-  std::vector<client::MobileClient> clients_;  // stable; never reallocates
-  // Last-published per-client counters: per-tick deltas are attributed to
-  // the cell the client is resident in, so per-cell series stay monotone
-  // even though the underlying counters travel with the client.
-  std::vector<std::uint64_t> seen_sleeper_drops_;
-  std::vector<std::uint64_t> seen_handoffs_;
+  std::vector<std::unique_ptr<client::ClientCell>> cells_;
+  std::vector<client::MobileClient> clients_;  // indexed by global id
 
   std::optional<sim::MobilityModel> model_;
   std::optional<sim::ResidencyPredictor> predictor_;

@@ -22,15 +22,6 @@ const char* cell_topology_name(CellTopology topology) noexcept {
   return "?";
 }
 
-const char* shard_schedule_name(ShardSchedule schedule) noexcept {
-  switch (schedule) {
-    case ShardSchedule::kStaticBlocked: return "static-blocked";
-    case ShardSchedule::kQueue: return "queue";
-    case ShardSchedule::kLptSteal: return "lpt-steal";
-  }
-  return "?";
-}
-
 std::uint64_t shard_seed(std::uint64_t master, std::size_t index) noexcept {
   // SplitMix64 advances its state by a fixed gamma per output, so seeding
   // at master + gamma * index and taking one output *is* output `index`
@@ -294,64 +285,26 @@ void merge_shard_traces(
   }
 }
 
-// Runs every shard exactly once under the configured schedule and fills
-// `stats` with the modeled makespan of the plan actually used (sum of all
-// costs when serial, busiest block for static, busiest LPT queue for
-// lpt-steal — the shared-queue legacy schedule has no static plan).
-void dispatch_shards(util::ThreadPool* pool, ShardSchedule schedule,
+// Runs every shard exactly once — in shard order without a pool, else
+// under the LPT plan with work stealing — and fills `stats` with the
+// modeled makespan of the plan used (the sum of all costs when serial).
+void dispatch_shards(util::ThreadPool* pool,
                      const std::vector<std::uint64_t>& costs,
                      const std::function<void(std::size_t)>& run_one,
-                     util::WeightedForStats* stats) {
-  const std::size_t shards = costs.size();
-  if (stats) *stats = util::WeightedForStats{};
-  const auto charged = [](std::uint64_t cost) {
-    return std::max<std::uint64_t>(1, cost);
-  };
-  if (!pool) {
-    for (std::size_t i = 0; i < shards; ++i) run_one(i);
-    if (stats) {
-      stats->workers = 1;
-      for (const std::uint64_t cost : costs) {
-        stats->planned_makespan += charged(cost);
-      }
-    }
+                     util::WeightedForStats& stats) {
+  if (pool) {
+    util::weighted_parallel_for(*pool, costs, run_one, &stats);
     return;
   }
-  switch (schedule) {
-    case ShardSchedule::kQueue:
-      util::parallel_for(*pool, 0, shards, run_one, 1);
-      if (stats) stats->workers = pool->size();
-      break;
-    case ShardSchedule::kStaticBlocked: {
-      const std::size_t workers = std::max<std::size_t>(1, pool->size());
-      const std::size_t grain = (shards + workers - 1) / workers;
-      util::parallel_for(*pool, 0, shards, run_one, grain);
-      if (stats) {
-        stats->workers = workers;
-        for (std::size_t block = 0; block < shards; block += grain) {
-          std::uint64_t load = 0;
-          const std::size_t end = std::min(shards, block + grain);
-          for (std::size_t i = block; i < end; ++i) load += charged(costs[i]);
-          stats->planned_makespan = std::max(stats->planned_makespan, load);
-        }
-      }
-      break;
-    }
-    case ShardSchedule::kLptSteal:
-      util::weighted_parallel_for(*pool, costs, run_one, stats);
-      break;
+  stats = util::WeightedForStats{};
+  stats.workers = 1;
+  for (std::size_t i = 0; i < costs.size(); ++i) {
+    run_one(i);
+    stats.planned_makespan += std::max<std::uint64_t>(1, costs[i]);
   }
 }
 
 }  // namespace
-
-MultiCellResult run_multi_cell(const MultiCellConfig& config,
-                               util::ThreadPool* pool,
-                               obs::SeriesRecorder* recorder) {
-  MultiCellObservers observers;
-  observers.recorder = recorder;
-  return run_multi_cell(config, pool, observers);
-}
 
 MultiCellResult run_multi_cell(const MultiCellConfig& config,
                                util::ThreadPool* pool,
@@ -440,7 +393,7 @@ MultiCellResult run_multi_cell(const MultiCellConfig& config,
       obs::ScopedPhase dispatch_span(profiler, dispatch_phase);
       dispatch_span.add_cost(std::uint64_t(shards));
       dispatch_shards(
-          pool, config.schedule, costs,
+          pool, costs,
           [&](std::size_t i) {
             client::CellConfig cell = config.cell;
             cell.seed = shard_seed(config.seed, i);
@@ -451,12 +404,12 @@ MultiCellResult run_multi_cell(const MultiCellConfig& config,
                 client::run_cell(cell, want_series ? &series[i] : nullptr,
                                  want_trace ? tracers[i].get() : nullptr);
           },
-          &result.schedule_stats);
+          result.schedule_stats);
     } else {
       // Mobile clients: cells can no longer run start-to-finish as
       // independent shards — every tick ends at the fleet's handoff
       // barrier, so parallelism is per-tick across cells instead of
-      // per-run across shards (the schedule knob does not apply).
+      // per-run across shards.
       MobilityFleet fleet(config);
       for (std::size_t i = 0; i < shards; ++i) {
         if (want_series) fleet.attach_series(i, &series[i]);
@@ -521,7 +474,7 @@ MultiCellResult run_multi_cell(const MultiCellConfig& config,
     obs::ScopedPhase dispatch_span(profiler, dispatch_phase);
     dispatch_span.add_cost(std::uint64_t(shards));
     dispatch_shards(
-        pool, config.schedule, costs,
+        pool, costs,
         [&](std::size_t i) {
           coop::CoopConfig cluster = config.cluster;
           cluster.seed = shard_seed(config.seed, i);
@@ -529,7 +482,7 @@ MultiCellResult run_multi_cell(const MultiCellConfig& config,
           result.per_cluster[i] = coop::run_cooperative(
               cluster, want_series ? &series[i] : nullptr);
         },
-        &result.schedule_stats);
+        result.schedule_stats);
   }
   for (const auto& cluster : result.per_cluster) {
     accumulate(result.coop_aggregate, cluster);

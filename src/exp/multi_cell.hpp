@@ -39,18 +39,6 @@ enum class CellTopology {
 
 const char* cell_topology_name(CellTopology topology) noexcept;
 
-/// How shards are assigned to pool workers. Scheduling never touches
-/// simulation state (every shard's seed is a pure function of its index),
-/// so all three produce bit-identical results — they differ only in how
-/// well they pack skewed shard costs onto the workers.
-enum class ShardSchedule {
-  kStaticBlocked,  // contiguous index blocks, one task per worker
-  kQueue,          // shared grain-1 FIFO queue (the pre-scheduling default)
-  kLptSteal,       // cost-estimated LPT plan + dynamic work stealing
-};
-
-const char* shard_schedule_name(ShardSchedule schedule) noexcept;
-
 struct MultiCellConfig {
   std::size_t cell_count = 8;
   CellTopology topology = CellTopology::kSharded;
@@ -77,10 +65,6 @@ struct MultiCellConfig {
   std::size_t trace_event_capacity = 1 << 16;
   /// Retain each shard's EventLog in the result (sharded + tracing only).
   bool keep_trace = false;
-  /// Worker assignment policy for pooled runs (ignored when the pool is
-  /// null). The default LPT + stealing plan packs by estimated shard cost
-  /// (clients x ticks), which matters once cell populations are skewed.
-  ShardSchedule schedule = ShardSchedule::kLptSteal;
   /// Sharded mode: per-cell client_count override (size must equal
   /// cell_count when non-empty; empty keeps the template's count for
   /// every cell). This is how skewed fleets — a few giant downtown cells
@@ -150,8 +134,8 @@ struct MultiCellResult {
   std::vector<obs::EventLog> shard_traces;
 
   /// Scheduling telemetry for pooled runs: worker count, the LPT plan's
-  /// modeled makespan (kLptSteal only; the busiest worker's estimated
-  /// cost), and observed steals. Diagnostic only — `steals` depends on
+  /// modeled makespan (the busiest worker's estimated cost), and
+  /// observed steals. Diagnostic only — `steals` depends on
   /// thread timing and must never feed back into simulation or metrics.
   util::WeightedForStats schedule_stats;
 
@@ -192,17 +176,13 @@ struct MultiCellObservers {
 };
 
 /// Runs the configured cells. `pool == nullptr` runs shards serially in
-/// shard order; otherwise shards are dispatched onto the pool. With a
+/// shard order; otherwise shards are dispatched onto the pool under an
+/// LPT plan over shard_cost_estimates with work stealing. With a
 /// recorder attached, per-tick shard series are summed (in shard order)
 /// into `mc.*` registry metrics and sampled once per tick after all
 /// shards complete — identical output whatever the pool size.
 MultiCellResult run_multi_cell(const MultiCellConfig& config,
                                util::ThreadPool* pool = nullptr,
-                               obs::SeriesRecorder* recorder = nullptr);
-
-/// Same run with the full observer set attached.
-MultiCellResult run_multi_cell(const MultiCellConfig& config,
-                               util::ThreadPool* pool,
-                               const MultiCellObservers& observers);
+                               const MultiCellObservers& observers = {});
 
 }  // namespace mobi::exp

@@ -23,24 +23,6 @@
 
 namespace mobi::exp {
 
-PolicySimResult run_policy_sim(const PolicySimConfig& config) {
-  return run_policy_sim(config, nullptr, nullptr);
-}
-
-PolicySimResult run_policy_sim(const PolicySimConfig& config,
-                               obs::SeriesRecorder* recorder) {
-  return run_policy_sim(config, recorder, nullptr);
-}
-
-PolicySimResult run_policy_sim(const PolicySimConfig& config,
-                               obs::SeriesRecorder* recorder,
-                               obs::RequestTracer* tracer) {
-  SimObservers observers;
-  observers.recorder = recorder;
-  observers.tracer = tracer;
-  return run_policy_sim(config, observers);
-}
-
 PolicySimResult run_policy_sim(const PolicySimConfig& config,
                                const SimObservers& observers) {
   obs::SeriesRecorder* recorder = observers.recorder;
@@ -93,21 +75,9 @@ PolicySimResult run_policy_sim(const PolicySimConfig& config,
     station.set_profiler(profiler);
   }
 
-  std::shared_ptr<const workload::AccessDistribution> access;
-  switch (config.access) {
-    case AccessPattern::kUniform:
-      access = workload::make_uniform_access(config.object_count);
-      break;
-    case AccessPattern::kRankLinear:
-      access = workload::make_rank_linear_access(config.object_count);
-      break;
-    case AccessPattern::kZipf:
-      access = workload::make_zipf_access(config.object_count,
-                                          config.zipf_alpha);
-      break;
-  }
-  workload::RequestGenerator generator(access, config.targets,
-                                       config.requests_per_tick, rng.split());
+  workload::RequestGenerator generator(
+      make_access(config.access, config.object_count, config.zipf_alpha),
+      config.targets, config.requests_per_tick, rng.split());
   auto updates =
       config.staggered_updates
           ? workload::make_periodic_staggered(config.object_count,

@@ -21,6 +21,7 @@
 #include "cache/decay.hpp"
 #include "cache/invalidation.hpp"
 #include "cache/replacement.hpp"
+#include "client/cell.hpp"
 #include "client/mobile_client.hpp"
 #include "coop/cooperative.hpp"
 #include "core/base_station.hpp"
@@ -354,8 +355,56 @@ TEST(AllocRegression, MobilityFleetSteadyStateIsAllocationFree) {
   EXPECT_GT(fleet.stats().deliveries, 0u);
 }
 
+// run_cell's tick, held open: a warm fixed-roster ClientCell with
+// disconnects, handoff faults, fetch failures and retries. Reports are
+// cut into one reused scratch report, the invalidation log is pruned
+// after each broadcast, and the batch and requester lists are reserved
+// for the roster, so once the station's scratch has reached its
+// high-water sizes a tick allocates nothing.
+TEST(AllocRegression, ClientCellSteadyStateIsAllocationFree) {
+  client::CellConfig config;
+  config.object_count = 60;
+  config.client_count = 16;
+  config.base_budget = 12;
+  config.report_period = 3;
+  config.server_count = 2;
+  config.fetch_retry_limit = 2;
+  config.client.disconnect_rate = 0.1;
+  config.faults.fetch_failure_rate = 0.2;
+  config.faults.handoff_rate = 0.05;
+  util::Rng rng(config.seed);
+  const auto catalog = object::make_random_catalog(
+      config.object_count, config.size_lo, config.size_hi, rng);
+  const util::Rng connectivity = rng.split();
+  const util::Rng requests = rng.split();
+  client::ClientCell cell(
+      catalog, config,
+      exp::make_access(config.access, config.object_count, config.zipf_alpha),
+      connectivity, requests, /*delivery_ticks=*/0, config.client_count);
+  std::vector<client::MobileClient> clients;
+  for (std::uint32_t id = 0; id < config.client_count; ++id) {
+    clients.emplace_back(id, catalog, config.client);
+    cell.add_client(id);
+  }
+  sim::Tick t = 0;
+  for (; t < 300; ++t) cell.tick(t, clients);  // warm-up
+  const client::CellResult warm = cell.result();
+  const std::uint64_t before = g_allocations.load();
+  for (; t < 800; ++t) cell.tick(t, clients);
+  const std::uint64_t after = g_allocations.load();
+  EXPECT_EQ(after - before, 0u)
+      << (after - before) << " steady-state heap allocations";
+  // The measured ticks did the work the header names.
+  const client::CellResult& done = cell.result();
+  EXPECT_GT(done.requests, warm.requests);
+  EXPECT_GT(done.served_by_base, warm.served_by_base);
+  EXPECT_GT(done.sleeper_drops, warm.sleeper_drops);
+  EXPECT_GT(done.handoffs, warm.handoffs);
+  EXPECT_GT(done.retries, warm.retries);
+}
+
 // A client's cache holds its residents in storage reserved at
-// construction, and the invalidation sink walks them in place: once
+// construction, and the invalidation listener walks them in place: once
 // built, a client serves, stores, hears reports and drops its cache under
 // the sleeper rule without touching the heap.
 TEST(AllocRegression, WarmMobileClientIsAllocationFree) {
@@ -414,14 +463,14 @@ TEST(AllocRegression, BoundedCacheIsSizedByCapacity) {
   {
     cache::BoundedCache store(catalog, cache::make_harmonic_decay(), 20,
                               cache::lru_policy());
-    cache::InvalidationListener listener(store);
+    cache::InvalidationListener listener;
     for (sim::Tick t = 0; t < 200; ++t) {
       const auto id = object::ObjectId((std::size_t(t) * 997) % kObjects);
       store.admit(id, fetched, t);
       store.read(id, t);
     }
     EXPECT_EQ(store.used(), 20);
-    EXPECT_GT(listener.apply(report), 0);
+    EXPECT_GT(listener.apply(report, store), 0);
   }
   const std::uint64_t bytes = g_allocated_bytes.load() - before;
   EXPECT_LT(bytes, 4096u) << bytes << " bytes allocated";

@@ -1,5 +1,5 @@
-// Differential fuzz suite for the resident-set BoundedCache and its
-// per-report invalidation sink. The reference below is the catalog-scan
+// Differential fuzz suite for the resident-set BoundedCache and the
+// invalidation listener's per-report walk of its residents. The reference below is the catalog-scan
 // design they replaced, kept verbatim as the oracle: a dense Cache over
 // the whole catalog plus one optional Residency slot per object, victim
 // selection by a scan over every slot, and a listener that probes the
@@ -224,7 +224,7 @@ void run_differential(int policy_index, std::uint64_t seed,
   const auto catalog = object::make_random_catalog(objects, 1, max_size, rng);
   BoundedCache fast(catalog, make_harmonic_decay(), capacity,
                     policy_at(policy_index));
-  InvalidationListener fast_listener(fast);
+  InvalidationListener fast_listener;
   RefBoundedCache ref(catalog, make_harmonic_decay(), capacity,
                       policy_at(policy_index));
   RefListener ref_listener(ref);
@@ -273,7 +273,7 @@ void run_differential(int policy_index, std::uint64_t seed,
               {id, std::uint32_t(rng.uniform_int(1, 3))});
         }
       }
-      ASSERT_EQ(fast_listener.apply(report), ref_listener.apply(report));
+      ASSERT_EQ(fast_listener.apply(report, fast), ref_listener.apply(report));
       ASSERT_EQ(fast_listener.last_heard_end(), ref_listener.last_heard_end());
       ASSERT_EQ(fast_listener.reports_applied(),
                 ref_listener.reports_applied());

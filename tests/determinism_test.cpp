@@ -85,7 +85,8 @@ TEST(Determinism, InstrumentedPolicySimBitIdenticalToPlain) {
 
   obs::MetricsRegistry registry;
   obs::SeriesRecorder recorder(registry);
-  const exp::PolicySimResult instrumented = exp::run_policy_sim(config, &recorder);
+  const exp::PolicySimResult instrumented =
+      exp::run_policy_sim(config, {.recorder = &recorder});
 
   expect_identical(plain, instrumented);
   // And the recorder really observed the run: one sample per tick
@@ -96,9 +97,6 @@ TEST(Determinism, InstrumentedPolicySimBitIdenticalToPlain) {
   const auto& requests = recorder.series("bs.requests");
   EXPECT_GE(requests.back(), double(plain.requests));
   EXPECT_GT(registry.find_counter("bs.fetches")->value(), 0u);
-
-  // nullptr recorder routes through the same overload and must also match.
-  expect_identical(plain, exp::run_policy_sim(config, nullptr));
 }
 
 TEST(Determinism, InstrumentedFig2AndFig3BitIdenticalToPlain) {
@@ -241,7 +239,7 @@ TEST(Determinism, TracedPolicySimBitIdenticalToUntraced) {
   obs::RequestTracer tracer;
   tracer.register_histograms(&registry);
   const exp::PolicySimResult traced =
-      exp::run_policy_sim(config, &recorder, &tracer);
+      exp::run_policy_sim(config, {.recorder = &recorder, .tracer = &tracer});
 
   expect_identical(plain, traced);
   EXPECT_EQ(plain.failed_fetches, traced.failed_fetches);
@@ -257,11 +255,8 @@ TEST(Determinism, TracedPolicySimBitIdenticalToUntraced) {
   obs::RequestTracer::Config thinned;
   thinned.sample_every = 4;
   obs::RequestTracer sampled(thinned);
-  expect_identical(plain, exp::run_policy_sim(config, nullptr, &sampled));
+  expect_identical(plain, exp::run_policy_sim(config, {.tracer = &sampled}));
   EXPECT_LT(sampled.log().size(), tracer.log().size());
-
-  // Both-null routes through the same overload and must also match.
-  expect_identical(plain, exp::run_policy_sim(config, nullptr, nullptr));
 }
 
 // Per-shard tracers merge into mc.lat.* / mc.trace.* after the join, in
@@ -283,7 +278,7 @@ TEST(Determinism, TracedMultiCellBitIdenticalAcrossPoolSizes) {
   obs::MetricsRegistry serial_registry;
   obs::SeriesRecorder serial_recorder(serial_registry);
   const exp::MultiCellResult serial =
-      exp::run_multi_cell(config, nullptr, &serial_recorder);
+      exp::run_multi_cell(config, nullptr, {.recorder = &serial_recorder});
   const std::string serial_export = serial_registry.to_json();
   ASSERT_EQ(serial.shard_traces.size(), config.cell_count);
   EXPECT_GT(serial_registry.find_counter("mc.trace.events")->value(), 0u);
@@ -295,7 +290,7 @@ TEST(Determinism, TracedMultiCellBitIdenticalAcrossPoolSizes) {
     obs::MetricsRegistry registry;
     obs::SeriesRecorder recorder(registry);
     const exp::MultiCellResult pooled =
-        exp::run_multi_cell(config, &pool, &recorder);
+        exp::run_multi_cell(config, &pool, {.recorder = &recorder});
     SCOPED_TRACE("pool size " + std::to_string(pool_size));
     expect_identical(serial.aggregate, pooled.aggregate);
     for (std::size_t i = 0; i < config.cell_count; ++i) {
@@ -322,8 +317,7 @@ TEST(Determinism, TracedMultiCellBitIdenticalAcrossPoolSizes) {
 
 // Shard scheduling must never leak into simulation output: with a
 // Zipf-like skewed fleet (cell_client_counts) and an active fault plan,
-// every ShardSchedule — static blocks, the legacy grain-1 queue, and
-// LPT packing with work stealing — must produce the same bits as the
+// LPT packing with work stealing must produce the same bits as the
 // serial run at every pool size, down to the merged registry export and
 // every shard's event log. Stealing reorders *execution*, not results.
 TEST(Determinism, SkewScheduledMultiCellBitIdenticalAcrossPoolSizes) {
@@ -354,35 +348,27 @@ TEST(Determinism, SkewScheduledMultiCellBitIdenticalAcrossPoolSizes) {
   obs::MetricsRegistry serial_registry;
   obs::SeriesRecorder serial_recorder(serial_registry);
   const exp::MultiCellResult serial =
-      exp::run_multi_cell(config, nullptr, &serial_recorder);
+      exp::run_multi_cell(config, nullptr, {.recorder = &serial_recorder});
   const std::string serial_export = serial_registry.to_json();
   EXPECT_GT(serial.aggregate.failed_fetches, 0u)
       << "fault plan must be active, not vacuously identical";
 
-  for (const exp::ShardSchedule schedule :
-       {exp::ShardSchedule::kStaticBlocked, exp::ShardSchedule::kQueue,
-        exp::ShardSchedule::kLptSteal}) {
-    SCOPED_TRACE(exp::shard_schedule_name(schedule));
-    config.schedule = schedule;
-    for (std::size_t pool_size : {1u, 2u, 8u}) {
-      SCOPED_TRACE("pool size " + std::to_string(pool_size));
-      util::ThreadPool pool(pool_size);
-      obs::MetricsRegistry registry;
-      obs::SeriesRecorder recorder(registry);
-      const exp::MultiCellResult pooled =
-          exp::run_multi_cell(config, &pool, &recorder);
-      expect_identical(serial.aggregate, pooled.aggregate);
-      for (std::size_t i = 0; i < config.cell_count; ++i) {
-        expect_identical(serial.per_cell[i], pooled.per_cell[i]);
-        EXPECT_EQ(pooled.shard_traces[i].to_jsonl(),
-                  serial.shard_traces[i].to_jsonl());
-      }
-      EXPECT_EQ(registry.to_json(), serial_export);
-      EXPECT_EQ(pooled.schedule_stats.workers, pool_size);
-      if (schedule != exp::ShardSchedule::kQueue) {
-        EXPECT_GT(pooled.schedule_stats.planned_makespan, 0u);
-      }
+  for (std::size_t pool_size : {1u, 2u, 8u}) {
+    SCOPED_TRACE("pool size " + std::to_string(pool_size));
+    util::ThreadPool pool(pool_size);
+    obs::MetricsRegistry registry;
+    obs::SeriesRecorder recorder(registry);
+    const exp::MultiCellResult pooled =
+        exp::run_multi_cell(config, &pool, {.recorder = &recorder});
+    expect_identical(serial.aggregate, pooled.aggregate);
+    for (std::size_t i = 0; i < config.cell_count; ++i) {
+      expect_identical(serial.per_cell[i], pooled.per_cell[i]);
+      EXPECT_EQ(pooled.shard_traces[i].to_jsonl(),
+                serial.shard_traces[i].to_jsonl());
     }
+    EXPECT_EQ(registry.to_json(), serial_export);
+    EXPECT_EQ(pooled.schedule_stats.workers, pool_size);
+    EXPECT_GT(pooled.schedule_stats.planned_makespan, 0u);
   }
 }
 
@@ -430,7 +416,7 @@ TEST(Determinism, CoherentCoopMultiCellBitIdenticalAcrossPoolSizes) {
     obs::MetricsRegistry serial_registry;
     obs::SeriesRecorder serial_recorder(serial_registry);
     const exp::MultiCellResult serial =
-        exp::run_multi_cell(config, nullptr, &serial_recorder);
+        exp::run_multi_cell(config, nullptr, {.recorder = &serial_recorder});
     const std::string serial_export = serial_registry.to_json();
     EXPECT_GT(serial.coop_aggregate.peer_hits +
                   serial.coop_aggregate.invalidations +
@@ -445,7 +431,7 @@ TEST(Determinism, CoherentCoopMultiCellBitIdenticalAcrossPoolSizes) {
       obs::MetricsRegistry registry;
       obs::SeriesRecorder recorder(registry);
       const exp::MultiCellResult pooled =
-          exp::run_multi_cell(config, &pool, &recorder);
+          exp::run_multi_cell(config, &pool, {.recorder = &recorder});
       ASSERT_EQ(pooled.per_cluster.size(), serial.per_cluster.size());
       for (std::size_t i = 0; i < serial.per_cluster.size(); ++i) {
         expect_identical(serial.per_cluster[i], pooled.per_cluster[i]);

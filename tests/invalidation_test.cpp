@@ -59,13 +59,13 @@ TEST(InvalidationListener, AppliesDecayPerReportedUpdate) {
   Cache cache(3, make_harmonic_decay());
   cache.refresh(0, fetched(), 0);
   cache.refresh(1, fetched(), 0);
-  InvalidationListener listener(cache);
+  InvalidationListener listener;
 
   InvalidationReport report;
   report.window_start = 0;
   report.window_end = 5;
   report.items = {{0, 2}, {2, 1}};  // object 2 not cached: ignored
-  const int decayed = listener.apply(report);
+  const int decayed = listener.apply(report, cache);
   EXPECT_EQ(decayed, 2);
   EXPECT_NEAR(*cache.recency(0), 1.0 / 3.0, 1e-12);  // two decays
   EXPECT_DOUBLE_EQ(*cache.recency(1), 1.0);          // untouched
@@ -76,11 +76,11 @@ TEST(InvalidationListener, AppliesDecayPerReportedUpdate) {
 TEST(InvalidationListener, ContiguousReportsKeepCache) {
   Cache cache(1, make_harmonic_decay());
   cache.refresh(0, fetched(), 0);
-  InvalidationListener listener(cache);
+  InvalidationListener listener;
   InvalidationReport first{0, 5, {}};
   InvalidationReport second{5, 10, {}};
-  listener.apply(first);
-  listener.apply(second);
+  listener.apply(first, cache);
+  listener.apply(second, cache);
   EXPECT_TRUE(cache.contains(0));
   EXPECT_EQ(listener.cache_drops(), 0u);
 }
@@ -89,10 +89,10 @@ TEST(InvalidationListener, SleeperRuleDropsCacheOnGap) {
   Cache cache(2, make_harmonic_decay());
   cache.refresh(0, fetched(), 0);
   cache.refresh(1, fetched(), 0);
-  InvalidationListener listener(cache);
-  listener.apply(InvalidationReport{0, 5, {}});
+  InvalidationListener listener;
+  listener.apply(InvalidationReport{0, 5, {}}, cache);
   // Missed the [5, 10) report entirely; next heard is [10, 15).
-  const int result = listener.apply(InvalidationReport{10, 15, {}});
+  const int result = listener.apply(InvalidationReport{10, 15, {}}, cache);
   EXPECT_EQ(result, -1);
   EXPECT_FALSE(cache.contains(0));
   EXPECT_FALSE(cache.contains(1));
@@ -103,10 +103,10 @@ TEST(InvalidationListener, SleeperRuleDropsCacheOnGap) {
 TEST(InvalidationListener, FirstReportNeverTriggersSleeperRule) {
   Cache cache(1, make_harmonic_decay());
   cache.refresh(0, fetched(), 0);
-  InvalidationListener listener(cache);
+  InvalidationListener listener;
   // First heard report starts late — but there is no established history,
   // so the cache survives (this models "tuned in for the first time").
-  listener.apply(InvalidationReport{100, 105, {}});
+  listener.apply(InvalidationReport{100, 105, {}}, cache);
   EXPECT_TRUE(cache.contains(0));
   EXPECT_EQ(listener.cache_drops(), 0u);
 }
@@ -114,18 +114,18 @@ TEST(InvalidationListener, FirstReportNeverTriggersSleeperRule) {
 TEST(InvalidationListener, OverlappingReportsAreAccepted) {
   Cache cache(1, make_harmonic_decay());
   cache.refresh(0, fetched(), 0);
-  InvalidationListener listener(cache);
-  listener.apply(InvalidationReport{0, 10, {}});
+  InvalidationListener listener;
+  listener.apply(InvalidationReport{0, 10, {}}, cache);
   // A re-broadcast overlapping window is not a gap.
-  listener.apply(InvalidationReport{5, 15, {}});
+  listener.apply(InvalidationReport{5, 15, {}}, cache);
   EXPECT_TRUE(cache.contains(0));
   EXPECT_EQ(listener.last_heard_end(), 15);
 }
 
 TEST(InvalidationListener, BadWindowThrows) {
   Cache cache(1, make_harmonic_decay());
-  InvalidationListener listener(cache);
-  EXPECT_THROW(listener.apply(InvalidationReport{5, 3, {}}),
+  InvalidationListener listener;
+  EXPECT_THROW(listener.apply(InvalidationReport{5, 3, {}}, cache),
                std::invalid_argument);
 }
 
@@ -137,7 +137,7 @@ TEST(EndToEnd, PeriodicReportsTrackTrueStaleness) {
   direct.refresh(0, fetched(), 0);
   via_reports.refresh(0, fetched(), 0);
   InvalidationLog log(1);
-  InvalidationListener listener(via_reports);
+  InvalidationListener listener;
 
   for (sim::Tick t = 1; t <= 8; ++t) {
     if (t % 2 == 0) {
@@ -145,7 +145,7 @@ TEST(EndToEnd, PeriodicReportsTrackTrueStaleness) {
       log.record_update(0, t);
     }
     if (t % 4 == 0) {
-      listener.apply(log.make_report(t - 4, t));
+      listener.apply(log.make_report(t - 4, t), via_reports);
     }
   }
   // Reports lag by one window: [0,4) and [4,8) have been heard, so the
@@ -153,7 +153,7 @@ TEST(EndToEnd, PeriodicReportsTrackTrueStaleness) {
   // behind the omniscient cache...
   EXPECT_GT(*via_reports.recency(0), *direct.recency(0));
   // ...until the next report catches it up.
-  listener.apply(log.make_report(8, 12));
+  listener.apply(log.make_report(8, 12), via_reports);
   EXPECT_DOUBLE_EQ(*via_reports.recency(0), *direct.recency(0));
 }
 

@@ -125,7 +125,7 @@ TEST(MultiCell, RecorderAggregatesShardSumsAndPerturbsNothing) {
   obs::SeriesRecorder recorder(registry);
   util::ThreadPool pool(2);
   const exp::MultiCellResult observed =
-      exp::run_multi_cell(config, &pool, &recorder);
+      exp::run_multi_cell(config, &pool, {.recorder = &recorder});
   expect_identical(bare.aggregate, observed.aggregate);
 
   ASSERT_EQ(recorder.samples(), std::size_t(config.cell.ticks));
@@ -262,7 +262,7 @@ TEST(MultiCell, ShardCostEstimatesFollowClientsTimesTicks) {
 
 // The per-cell client override changes the simulation (more clients =
 // more requests) but not the determinism contract: skewed fleets are
-// bit-identical across schedules and pool sizes (pinned in
+// bit-identical across pool sizes (pinned in
 // determinism_test); here we pin that the override actually takes
 // effect and scales per-cell load.
 TEST(MultiCell, CellClientCountsOverrideScalesPerCellLoad) {
@@ -281,14 +281,6 @@ TEST(MultiCell, CellClientCountsOverrideScalesPerCellLoad) {
   const exp::MultiCellResult overridden = exp::run_multi_cell(uniform);
   const exp::MultiCellResult plain = exp::run_multi_cell(small_config());
   expect_identical(overridden.aggregate, plain.aggregate);
-}
-
-TEST(MultiCell, ScheduleNames) {
-  EXPECT_STREQ(exp::shard_schedule_name(exp::ShardSchedule::kStaticBlocked),
-               "static-blocked");
-  EXPECT_STREQ(exp::shard_schedule_name(exp::ShardSchedule::kQueue), "queue");
-  EXPECT_STREQ(exp::shard_schedule_name(exp::ShardSchedule::kLptSteal),
-               "lpt-steal");
 }
 
 TEST(MultiCell, TopologyNames) {
